@@ -1,6 +1,25 @@
 """Generalized concurrence and separability analysis for pure
 continuous-variable quantum states."""
 
+import os as _os
+
+
+def _apply_thread_setting():
+    """Cap the BLAS/OpenMP thread count at CVCONC_THREADS (0 or unset leaves
+    it automatic). This runs before any submodule imports numpy, because the
+    BLAS reads these variables only when it is loaded."""
+    try:
+        count = int(_os.environ.get("CVCONC_THREADS", ""))
+    except ValueError:
+        return
+    if count > 0:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ[var] = str(count)
+
+
+_apply_thread_setting()
+
+# The submodules import numpy, so they come after the thread setting.
 from .concurrence import (
     ConcurrenceReport,
     SeparabilityCertificate,

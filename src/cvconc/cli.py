@@ -10,27 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_STATE = 2
 EXIT_VERIFY = 3
-
-
-def _configure_threads():
-    """Honor CVCONC_THREADS before the numerical stack is imported (0 = auto)."""
-    raw = os.environ.get("CVCONC_THREADS")
-    if not raw:
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        return
-    if count > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(count))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,26 +118,23 @@ def cmd_concurrence(args) -> int:
     from . import concurrence as conc
     from . import spectral, transpose
 
-    state, bipartition = _load_grid(args)
+    routes = {
+        "A": ("route_A_wedge", conc.concurrence_route_A),
+        "B": ("route_B_overlap", conc.concurrence_route_B),
+        "C": ("route_C_purity", spectral.concurrence_route_C),
+        "Lambda": ("route_Lambda", conc.concurrence_route_Lambda),
+        "D": ("route_D_hilbert_schmidt", transpose.concurrence_route_D),
+        "E": ("route_E_pt_fourth", transpose.concurrence_route_E),
+    }
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
+    for name in wanted:
+        if name not in routes:
+            raise ValueError(f"unknown route {name!r}")
+    state, bipartition = _load_grid(args)
     computed = {}
     for name in wanted:
-        if name == "A":
-            computed["route_A_wedge"] = conc.concurrence_route_A(state, bipartition)
-        elif name == "B":
-            computed["route_B_overlap"] = conc.concurrence_route_B(state, bipartition)
-        elif name == "C":
-            computed["route_C_purity"] = spectral.concurrence_route_C(state, bipartition)
-        elif name == "Lambda":
-            computed["route_Lambda"] = conc.concurrence_route_Lambda(state, bipartition)
-        elif name == "D":
-            computed["route_D_hilbert_schmidt"] = transpose.concurrence_route_D(
-                state, bipartition
-            )
-        elif name == "E":
-            computed["route_E_pt_fourth"] = transpose.concurrence_route_E(state, bipartition)
-        else:
-            raise ValueError(f"unknown route {name!r}")
+        key, route = routes[name]
+        computed[key] = route(state, bipartition)
     values = list(computed.values())
     gap = max(abs(u - v) for u in values for v in values) if values else 0.0
     verdict = conc.decide_separability(state, bipartition).verdict
@@ -200,7 +182,6 @@ def cmd_factor(args) -> int:
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     args = build_parser().parse_args(argv)
     from .errors import InputError, NumericError, StateValidityError
 

@@ -28,6 +28,8 @@ class GridAxis:
     points: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.min) and np.isfinite(self.max)):
+            raise InputError(f"axis bounds must be finite, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise InputError(f"axis requires max > min, got [{self.min}, {self.max}]")
         if int(self.points) < 2:
@@ -72,6 +74,8 @@ class GridState:
             raise InputError(
                 f"amplitude count {amp.size} does not match grid of {int(np.prod(shape))} nodes"
             )
+        if not np.isfinite(amp).all():
+            raise InputError("amplitudes must be finite (found NaN or infinity)")
         object.__setattr__(self, "amplitudes", amp)
         nsq = self.norm_squared
         if abs(nsq - 1.0) > NORM_TOL:
@@ -104,6 +108,8 @@ class GridState:
         for ax in axes:
             w *= ax.delta
         mass = float(np.sum(np.abs(amp) ** 2)) * w
+        if not np.isfinite(mass):
+            raise InputError(f"amplitudes must be finite with a finite norm, got norm^2 = {mass}")
         if mass <= 0.0:
             raise InputError("cannot normalize identically zero amplitudes")
         return cls(axes, amp / np.sqrt(mass), diagnostics or {})
@@ -131,6 +137,8 @@ class GaussianPureState:
         A = np.asarray(self.A, dtype=np.complex128)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("precision matrix must be square")
+        if not np.isfinite(A).all():
+            raise InputError("precision matrix has non-finite entries")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
             raise InputError("precision matrix must be symmetric (A = A^T)")
         try:

@@ -158,6 +158,38 @@ def test_cmd_concurrence_unknown_route(tmp_path, capsys):
     assert main(["concurrence", path, "--M", "0", "--routes", "Z"]) == 1
 
 
+def test_cmd_concurrence_routes_checked_before_loading(tmp_path, capsys, monkeypatch):
+    # A bad route name fails before the state file is read or any route runs.
+    assert main(["concurrence", "/nonexistent/state.json", "--M", "0",
+                 "--routes", "A,Z"]) == 1
+    assert "unknown route 'Z'" in capsys.readouterr().err
+    calls = []
+    monkeypatch.setattr(cv.concurrence, "concurrence_route_A", lambda *a: calls.append(a))
+    path = gaussian_file(tmp_path, 0.0)
+    assert main(["concurrence", path, "--M", "0", "--routes", "A,Z"]) == 1
+    assert calls == []
+
+
+def test_cmd_concurrence_non_finite_input(tmp_path, capsys):
+    payload = {
+        "axes": [{"min": -2.0, "max": 2.0, "points": 8}] * 2,
+        "amplitudes_real": [float("nan")] * 64,
+        "amplitudes_imag": [0.0] * 64,
+    }
+    path = write_json(tmp_path / "nan.json", payload)
+    assert main(["concurrence", path, "--M", "0", "--routes", "A,B"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    gaussian = {"n": 2, "A_real": [[1.0, float("inf")], [float("inf"), 1.0]],
+                "A_imag": [[0.0, 0.0], [0.0, 0.0]]}
+    path = write_json(tmp_path / "inf.json", gaussian)
+    assert main(["concurrence", path, "--M", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_cmd_concurrence_missing_file(capsys):
     assert main(["concurrence", "/nonexistent/state.json", "--M", "0"]) == 1
 
@@ -245,3 +277,33 @@ def test_console_entry_point():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["verdict"] == "separable"
+
+
+def test_cvconc_threads_set_before_numpy_import():
+    # The child records the BLAS thread variables at the moment numpy is
+    # first imported; CVCONC_THREADS must already be in force by then, and it
+    # takes precedence over a generic OMP_NUM_THREADS.
+    package_root = os.path.dirname(os.path.dirname(cv.__file__))
+    probe = (
+        "import json, os, sys\n"
+        "names = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "seen = {}\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.update((v, os.environ.get(v)) for v in names)\n"
+        "        return None\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import cvconc.cli\n"
+        "print(json.dumps(seen))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True,
+        env={"PATH": "", "CVCONC_THREADS": "3", "OMP_NUM_THREADS": "7",
+             "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "3",
+    }

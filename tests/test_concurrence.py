@@ -244,3 +244,49 @@ def test_degenerate_input_rejected():
     axes = (GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2))
     with pytest.raises(InputError):
         GridState.from_amplitudes(axes, np.zeros((2, 2)))
+
+
+def test_verdict_stable_under_grid_refinement():
+    # E^2 = 2.5e-5 and sigma_2^2 = 6.25e-6 on every grid; the weighted wedge
+    # coefficients shrink like (delta_M delta_rest)^2 as the grid is refined.
+    for points in (48, 64, 96, 128):
+        cert = decide_separability(gaussian_grid(0.01, box=8.0, points=points), BP)
+        assert cert.verdict == "entangled", points
+        product = decide_separability(gaussian_grid(0.0, box=8.0, points=points), BP)
+        assert product.verdict == "separable", points
+    state = gaussian_grid(0.01, box=8.0, points=96)
+    cert = decide_separability(state, BP)
+    (a, b), (x, y) = cert.witness.slice_pair, cert.witness.basis_pair
+    amp = state.amplitudes
+    d = amp[a + x] * amp[b + y] - amp[a + y] * amp[b + x]
+    assert abs(abs(d) ** 2 * state.node_weight**2 - cert.witness.magnitude_sq) < 1e-15
+    assert cert.witness.magnitude_sq > 0.0
+
+
+@pytest.mark.parametrize("members, pairs_per_chunk", [((0,), 3), ((1, 2), 100)])
+def test_route_A_chunk_boundaries(monkeypatch, members, pairs_per_chunk):
+    # A 5 x 4 x 6 state split 5 | 24 (gm << gmbar) and 24 | 5 (gm >> gmbar),
+    # with the budget set so that several chunks run and the last is partial.
+    from cvconc import concurrence as conc
+
+    state = small_random_state(101, shape=(5, 4, 6))
+    bp = Bipartition(3, members)
+    G, _, _ = cv.states.block_matrix(state, bp)
+    gm, gmbar = G.shape
+    budget = 2 * gmbar * gmbar * pairs_per_chunk
+    monkeypatch.setattr(conc, "_CHUNK_BUDGET", budget)
+    chunk_sizes = []
+    vdot = np.vdot
+
+    def counting_vdot(u, v):
+        chunk_sizes.append(u.size)
+        return vdot(u, v)
+
+    monkeypatch.setattr(np, "vdot", counting_vdot)
+    value = concurrence_route_A(state, bp)
+    monkeypatch.undo()
+    assert len(chunk_sizes) >= 3
+    assert chunk_sizes[-1] < chunk_sizes[0]
+    assert 2 * max(chunk_sizes) <= budget
+    assert sum(chunk_sizes) == gm * (gm - 1) // 2 * gmbar * gmbar
+    assert abs(value - oracles.direct_concurrence(state, bp)) < 1e-12

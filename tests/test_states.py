@@ -44,6 +44,21 @@ def test_grid_state_norm_enforced():
     assert abs(state.norm_squared - 1.0) < 1e-12
 
 
+def test_grid_state_rejects_non_finite():
+    axes = (GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2))
+    for bad in (np.nan, np.inf, complex(0.5, np.nan)):
+        amp = np.full((2, 2), 1.0, dtype=complex)
+        amp[1, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            GridState(axes, amp)
+        with pytest.raises(InputError, match="finite"):
+            GridState.from_amplitudes(axes, amp)
+    with pytest.raises(InputError, match="finite"):
+        GridAxis(-np.inf, 1.0, 4)
+    with pytest.raises(InputError, match="finite"):
+        GridAxis(0.0, np.nan, 4)
+
+
 def test_grid_state_shape_mismatch():
     axes = (GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 3))
     with pytest.raises(InputError):
@@ -105,6 +120,14 @@ def test_gaussian_validation():
         GaussianPureState(np.array([[1.0, 0.2], [0.3, 1.0]]))   # not symmetric
     with pytest.raises(InputError):
         GaussianPureState(np.array([[-1.0, 0.0], [0.0, 1.0]]))  # Re not PD
+
+
+def test_gaussian_rejects_non_finite():
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        A = np.eye(2, dtype=complex)
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            GaussianPureState(A)
 
 
 def test_discretize_node_at_origin():
