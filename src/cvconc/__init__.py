@@ -61,11 +61,11 @@ from .states import (
     GaussianPureState,
     GridAxis,
     GridState,
-    ProjectionMasks,
-    build_masks,
+    Split,
     discretize,
     evaluate_gaussian,
     evaluate_grid,
+    split,
 )
 from .transpose import (
     DiscreteOperator,

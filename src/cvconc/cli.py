@@ -116,32 +116,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_concurrence(args) -> int:
     from . import concurrence as conc
-    from . import spectral, transpose
+    from .states import split
 
-    routes = {
-        "A": ("route_A_wedge", conc.concurrence_route_A),
-        "B": ("route_B_overlap", conc.concurrence_route_B),
-        "C": ("route_C_purity", spectral.concurrence_route_C),
-        "Lambda": ("route_Lambda", conc.concurrence_route_Lambda),
-        "D": ("route_D_hilbert_schmidt", transpose.concurrence_route_D),
-        "E": ("route_E_pt_fourth", transpose.concurrence_route_E),
-    }
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
     for name in wanted:
-        if name not in routes:
+        if name not in conc.ROUTES:
             raise ValueError(f"unknown route {name!r}")
     state, bipartition = _load_grid(args)
-    computed = {}
-    for name in wanted:
-        key, route = routes[name]
-        computed[key] = route(state, bipartition)
-    values = list(computed.values())
-    gap = max(abs(u - v) for u in values for v in values) if values else 0.0
-    verdict = conc.decide_separability(state, bipartition).verdict
-    out = dict(computed)
+    sp = split(state, bipartition)
+    out, gap = conc._route_values(sp, wanted)
     out.update(
         max_pairwise_gap=gap,
-        verdict=verdict,
+        verdict=conc._verdict(sp.G, conc.DEFAULT_THRESHOLD),
         mass_defect=state.diagnostics.get("mass_defect", 0.0),
     )
     print(json.dumps(out))

@@ -3,14 +3,14 @@ parametrized measure family, and separability decisions with witnesses."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, InputError, TruncationWarning
+from . import spectral, transpose
+from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
-from .states import Bipartition, GaussianPureState, GridState, block_matrix, evaluate_gaussian
+from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -54,11 +54,6 @@ def _route_b_from_matrix(G: np.ndarray) -> float:
     return 2.0 * (1.0 - float(np.sum(np.abs(K) ** 2)))
 
 
-def _route_c_from_matrix(G: np.ndarray) -> float:
-    rho = G @ G.conj().T
-    return 2.0 * (1.0 - float(np.sum(np.abs(rho) ** 2)))
-
-
 def _route_lambda_from_matrix(G: np.ndarray) -> float:
     # Doubled-grid overlap <Phi, Phi o Lambda> accumulated one member-row at
     # a time; the member-block swap turns the doubled index (a,b,c,d) into
@@ -72,22 +67,40 @@ def _route_lambda_from_matrix(G: np.ndarray) -> float:
     return 2.0 * (1.0 - inner.real)
 
 
+# Every route: name -> (output key, function of a Split). Route A looks
+# _wedge_sum_and_max up when it runs, so a wrapper installed on that module
+# attribute (bench/tracer.py counts quadruples this way) sees every call.
+ROUTES = {
+    "A": ("route_A_wedge", lambda sp: _wedge_sum_and_max(sp.G)),
+    "B": ("route_B_overlap", lambda sp: _route_b_from_matrix(sp.G)),
+    "C": ("route_C_purity", spectral._route_c),
+    "Lambda": ("route_Lambda", lambda sp: _route_lambda_from_matrix(sp.G)),
+    "D": ("route_D_hilbert_schmidt", lambda sp: transpose._route_d(sp.G)),
+    "E": ("route_E_pt_fourth", lambda sp: transpose._route_e(sp.G)),
+}
+REPORT_ROUTES = ("A", "B", "C", "Lambda")
+
+
+def _route_values(sp: Split, names) -> tuple:
+    """{output key: E^2} of the named routes, all on the one split, and the
+    largest pairwise gap between them (0 for none)."""
+    values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in names}
+    return values, max(values.values()) - min(values.values()) if values else 0.0
+
+
 def concurrence_route_A(state: GridState, bipartition: Bipartition) -> float:
     """Direct quadruple integral of the squared wedge coefficients."""
-    G, _, _ = block_matrix(state, bipartition)
-    return _wedge_sum_and_max(G)
+    return _wedge_sum_and_max(split(state, bipartition).G)
 
 
 def concurrence_route_B(state: GridState, bipartition: Bipartition) -> float:
     """Overlap-kernel form: 2 [1 - integral of |K(y', y)|^2]."""
-    G, _, _ = block_matrix(state, bipartition)
-    return _route_b_from_matrix(G)
+    return _route_b_from_matrix(split(state, bipartition).G)
 
 
 def concurrence_route_Lambda(state: GridState, bipartition: Bipartition) -> float:
     """Doubled-coordinate form 2 [1 - Re <Phi, Phi o Lambda>]."""
-    G, _, _ = block_matrix(state, bipartition)
-    return _route_lambda_from_matrix(G)
+    return _route_lambda_from_matrix(split(state, bipartition).G)
 
 
 _PRESET_F = {
@@ -119,7 +132,8 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
     if q <= 0.0:
         raise InputError("q must be positive")
     func = _resolve_f(f)
-    F, wm, wrest = block_matrix(state, bipartition, weighted=False)
+    sp = split(state, bipartition)
+    F, wm, wrest = sp.F, sp.wm, sp.wrest
     gm = F.shape[0]
     if p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
@@ -175,7 +189,7 @@ class SeparabilityCertificate:
         return out
 
 
-def _entangled(G: np.ndarray, threshold: float) -> bool:
+def _verdict(G: np.ndarray, threshold: float) -> str:
     """Schmidt-rank test on the weighted block matrix G.
 
     Every wedge coefficient vanishes exactly when G has Schmidt rank 1, so the
@@ -184,7 +198,7 @@ def _entangled(G: np.ndarray, threshold: float) -> bool:
     resolves the state.
     """
     sigma = np.linalg.svd(G, compute_uv=False)
-    return float(sigma[1]) ** 2 > threshold
+    return "entangled" if float(sigma[1]) ** 2 > threshold else "separable"
 
 
 def _witness_quadruple(G: np.ndarray):
@@ -217,13 +231,13 @@ def decide_separability(
     below the threshold. Otherwise the state is factored against the
     maximal-norm reference slice and both factors are returned renormalized.
     """
-    G, _, _ = block_matrix(state, bipartition)
+    sp = split(state, bipartition)
     member_axes = tuple(state.axes[k] for k in bipartition.members)
     rest_axes = tuple(state.axes[k] for k in bipartition.complement)
     m_shape = tuple(ax.points for ax in member_axes)
     r_shape = tuple(ax.points for ax in rest_axes)
-    if _entangled(G, threshold):
-        (a, b, x, y), magnitude_sq = _witness_quadruple(G)
+    if _verdict(sp.G, threshold) == "entangled":
+        (a, b, x, y), magnitude_sq = _witness_quadruple(sp.G)
         witness = EntanglementWitness(
             slice_pair=(
                 tuple(int(v) for v in np.unravel_index(a, m_shape)),
@@ -237,7 +251,7 @@ def decide_separability(
         )
         return SeparabilityCertificate("entangled", threshold, witness=witness)
 
-    F, wm, wrest = block_matrix(state, bipartition, weighted=False)
+    F, wrest = sp.F, sp.wrest
     slice_norms_sq = (np.abs(F) ** 2) @ wrest
     yhat = int(np.argmax(slice_norms_sq))
     ref_sq = float(slice_norms_sq[yhat])
@@ -272,12 +286,7 @@ class ConcurrenceReport:
     mass_defect: float = 0.0
 
     def values(self) -> dict:
-        return {
-            "route_A_wedge": self.route_A_wedge,
-            "route_B_overlap": self.route_B_overlap,
-            "route_C_purity": self.route_C_purity,
-            "route_Lambda": self.route_Lambda,
-        }
+        return {ROUTES[name][0]: getattr(self, ROUTES[name][0]) for name in REPORT_ROUTES}
 
     def to_dict(self) -> dict:
         out = self.values()
@@ -290,21 +299,12 @@ class ConcurrenceReport:
         return out
 
 
-def _report_from_matrix(G, threshold, mass_defect=0.0) -> ConcurrenceReport:
-    values = [
-        _wedge_sum_and_max(G),
-        _route_b_from_matrix(G),
-        _route_c_from_matrix(G),
-        _route_lambda_from_matrix(G),
-    ]
-    gap = max(abs(u - v) for u in values for v in values)
+def _report(sp: Split, threshold, mass_defect=0.0) -> ConcurrenceReport:
+    values, gap = _route_values(sp, REPORT_ROUTES)
     return ConcurrenceReport(
-        route_A_wedge=values[0],
-        route_B_overlap=values[1],
-        route_C_purity=values[2],
-        route_Lambda=values[3],
+        **values,
         max_pairwise_gap=gap,
-        verdict="entangled" if _entangled(G, threshold) else "separable",
+        verdict=_verdict(sp.G, threshold),
         threshold=threshold,
         mass_defect=mass_defect,
     )
@@ -314,8 +314,7 @@ def concurrence_report(
     state: GridState, bipartition: Bipartition, threshold: float = DEFAULT_THRESHOLD
 ) -> ConcurrenceReport:
     """All four routes on a grid state, with their pairwise agreement."""
-    G, _, _ = block_matrix(state, bipartition)
-    return _report_from_matrix(G, threshold, state.diagnostics.get("mass_defect", 0.0))
+    return _report(split(state, bipartition), threshold, state.diagnostics.get("mass_defect", 0.0))
 
 
 def concurrence_gaussian_numeric(
@@ -324,26 +323,8 @@ def concurrence_gaussian_numeric(
     rule: ProductRule,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ConcurrenceReport:
-    """Evaluate a Gaussian pure state on a product rule and run every route."""
-    if rule.ndim != state.n:
-        raise InputError(f"rule has {rule.ndim} axes, state has {state.n}")
-    if bipartition.n != state.n:
-        raise InputError("bipartition size does not match the state")
-    mesh = np.meshgrid(*rule.nodes, indexing="ij")
-    amp = evaluate_gaussian(state, np.stack(mesh, axis=-1))
-    wgrid = np.ones(())
-    for w in rule.weights:
-        wgrid = np.multiply.outer(wgrid, w)
-    weighted = amp * np.sqrt(wgrid)
-    order = bipartition.members + bipartition.complement
-    weighted = np.transpose(weighted, order)
-    gm = int(np.prod([rule.nodes[k].size for k in bipartition.members]))
-    G = weighted.reshape(gm, -1)
-    mass = float(np.sum(np.abs(G) ** 2))
-    defect = abs(1.0 - mass)
-    if defect > 1e-3:
-        warnings.warn(
-            f"quadrature captures norm^2 = {mass:.6g}; widen the rule", TruncationWarning
-        )
-    G = G / np.sqrt(mass)
-    return _report_from_matrix(G, threshold, mass_defect=defect)
+    """Evaluate a Gaussian pure state on a product rule and run every route;
+    on the midpoint rule of a grid this is the report of the discretized state."""
+    amp, defect = _sample(state, rule)
+    sp = Split.from_blocks(bipartition, *_blocks(amp, rule.weights, bipartition))
+    return _report(sp, threshold, mass_defect=defect)

@@ -42,6 +42,15 @@ class ProductRule:
         return count
 
 
+def _product_weights(weights) -> np.ndarray:
+    """Weight of every node of a product grid: the outer product of the
+    per-axis weight vectors."""
+    w = np.ones(())
+    for wk in weights:
+        w = np.multiply.outer(w, wk)
+    return w
+
+
 def midpoint_rule(axes) -> ProductRule:
     """Midpoint rule over GridAxis objects; weights per axis sum to max - min."""
     return ProductRule(
@@ -91,7 +100,4 @@ def integrate(rule: ProductRule, f) -> complex:
         bad = np.argwhere(~np.isfinite(values))[0]
         node = tuple(float(rule.nodes[k][i]) for k, i in enumerate(bad))
         raise NumericError(f"integrand is not finite at node {node}")
-    weight = np.ones(())
-    for w in rule.weights:
-        weight = np.multiply.outer(weight, w)
-    return complex(np.sum(values * weight))
+    return complex(np.sum(values * _product_weights(rule.weights)))

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .states import Bipartition, GridState, block_matrix
-from .transpose import DiscreteOperator, concurrence_route_D
+from .states import Bipartition, GridState, Split, split
+from .transpose import DiscreteOperator, _route_d
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
@@ -34,10 +34,13 @@ class ReducedDensity:
         return self.operator.matrix
 
 
+def _reduce(sp: Split) -> ReducedDensity:
+    return ReducedDensity(DiscreteOperator(sp.G @ sp.G.conj().T), sp.bipartition)
+
+
 def reduce(state: GridState, bipartition: Bipartition) -> ReducedDensity:
     """Trace out the complement block: kernel sum_k phi(x, k) phi*(x', k) w_k."""
-    G, _, _ = block_matrix(state, bipartition)
-    return ReducedDensity(DiscreteOperator(G @ G.conj().T), bipartition)
+    return _reduce(split(state, bipartition))
 
 
 def purity(rd: ReducedDensity) -> float:
@@ -48,9 +51,13 @@ def purity(rd: ReducedDensity) -> float:
     return value
 
 
+def _route_c(sp: Split) -> float:
+    return 2.0 * (1.0 - purity(_reduce(sp)))
+
+
 def concurrence_route_C(state: GridState, bipartition: Bipartition) -> float:
     """Purity form of the squared concurrence: 2 [1 - Tr(rho_M^2)]."""
-    return 2.0 * (1.0 - purity(reduce(state, bipartition)))
+    return _route_c(split(state, bipartition))
 
 
 def eigenvalues(rd: ReducedDensity) -> np.ndarray:
@@ -75,10 +82,13 @@ def one_minus_rho_moment(rd: ReducedDensity, k: int) -> float:
     return float(np.sum(eigs * (1.0 - eigs) ** k))
 
 
+def _hs_gap(route_d: float, p: float) -> float:
+    return abs(route_d + 2.0 * p - 2.0)
+
+
 def hs_identity_gap(state: GridState, bipartition: Bipartition) -> float:
     """|route_D + 2 * purity - 2|: the Hilbert-Schmidt identity between the
     partial-transpose distance and the distance of rho_M to maximal mixing,
     read in the infinite-dimensional limit where the latter reduces to purity."""
-    d = concurrence_route_D(state, bipartition)
-    p = purity(reduce(state, bipartition))
-    return abs(d + 2.0 * p - 2.0)
+    sp = split(state, bipartition)
+    return _hs_gap(_route_d(sp.G), purity(_reduce(sp)))

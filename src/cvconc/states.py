@@ -1,6 +1,6 @@
 """State representations: midpoint-discretized wavefunctions, Gaussian pure states,
-bipartitions of the degrees of freedom, and the projection/selector matrices used by
-the doubled-coordinate machinery."""
+bipartitions of the degrees of freedom, and the prepared split of a state into
+member and complement blocks that every concurrence route reads."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, StateValidityError, TruncationWarning
+from .quadrature import ProductRule, _product_weights, midpoint_rule
 
 NORM_TOL = 1e-9
 MASS_DEFECT_WARN = 1e-3
@@ -169,6 +170,27 @@ def evaluate_gaussian(state: GaussianPureState, x) -> complex:
     return complex(val) if scalar else val
 
 
+def _sample(state: GaussianPureState, rule: ProductRule):
+    """Amplitudes of a Gaussian pure state at the nodes of a product rule,
+    before renormalization, and the mass defect |1 - sum |amp|^2 w|.
+
+    A TruncationWarning is issued when the defect exceeds MASS_DEFECT_WARN
+    (domain or rule too narrow).
+    """
+    if rule.ndim != state.n:
+        raise InputError(f"need {state.n} axes, got {rule.ndim}")
+    mesh = np.meshgrid(*rule.nodes, indexing="ij")
+    amp = evaluate_gaussian(state, np.stack(mesh, axis=-1))
+    mass = float(np.sum(np.abs(amp) ** 2 * _product_weights(rule.weights)))
+    defect = abs(1.0 - mass)
+    if defect > MASS_DEFECT_WARN:
+        warnings.warn(
+            f"discretization loses probability mass {defect:.3g}; enlarge the domain",
+            TruncationWarning,
+        )
+    return amp, defect
+
+
 def discretize(state: GaussianPureState, axes) -> GridState:
     """Sample a Gaussian pure state at midpoint nodes and renormalize.
 
@@ -176,27 +198,13 @@ def discretize(state: GaussianPureState, axes) -> GridState:
     TruncationWarning is issued when it exceeds MASS_DEFECT_WARN (domain too small).
     """
     axes = tuple(axes)
-    if len(axes) != state.n:
-        raise InputError(f"need {state.n} axes, got {len(axes)}")
-    mesh = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    amp = evaluate_gaussian(state, pts)
-    w = 1.0
-    for ax in axes:
-        w *= ax.delta
-    mass = float(np.sum(np.abs(amp) ** 2)) * w
-    defect = abs(1.0 - mass)
+    amp, defect = _sample(state, midpoint_rule(axes))
     cond = float(np.linalg.cond(state.A.real))
     diagnostics = {
         "mass_defect": defect,
         "precision_condition": cond,
         "ill_conditioned": cond > CONDITION_FLAG,
     }
-    if defect > MASS_DEFECT_WARN:
-        warnings.warn(
-            f"discretization loses probability mass {defect:.3g}; enlarge the domain",
-            TruncationWarning,
-        )
     return GridState.from_amplitudes(axes, amp, diagnostics)
 
 
@@ -231,34 +239,15 @@ class Bipartition:
         return cls(n, members)
 
 
-@dataclass(frozen=True)
-class ProjectionMasks:
-    """Diagonal 0/1 mask for the member block plus the two n x 2n copy selectors."""
-
-    M_mask: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-
-
-def build_masks(bipartition: Bipartition) -> ProjectionMasks:
-    n = bipartition.n
-    mask = np.zeros((n, n))
-    for i in bipartition.members:
-        mask[i, i] = 1.0
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return ProjectionMasks(
-        M_mask=mask,
-        N1=np.hstack([eye, zero]),
-        N2=np.hstack([zero, eye]),
-    )
-
-
-def _flat_weights(axes) -> np.ndarray:
-    w = np.ones(1)
-    for ax in axes:
-        w = np.multiply.outer(w, ax.weights).reshape(-1)
-    return w
+def _blocks(amplitudes: np.ndarray, axis_weights, bipartition: Bipartition):
+    """Amplitudes on a product grid transposed to (member axes, complement
+    axes) and flattened to a matrix, with the flattened weights of each block."""
+    if bipartition.n != amplitudes.ndim:
+        raise InputError("bipartition size does not match the state")
+    members, rest = bipartition.members, bipartition.complement
+    wm = _product_weights([axis_weights[k] for k in members]).reshape(-1)
+    wrest = _product_weights([axis_weights[k] for k in rest]).reshape(-1)
+    return np.transpose(amplitudes, members + rest).reshape(wm.size, wrest.size), wm, wrest
 
 
 def block_matrix(state: GridState, bipartition: Bipartition, weighted: bool = True):
@@ -269,13 +258,37 @@ def block_matrix(state: GridState, bipartition: Bipartition, weighted: bool = Tr
     scaled by sqrt(w_row * w_col) so plain matrix algebra reproduces the
     weighted integrals.
     """
-    if bipartition.n != state.n:
-        raise InputError("bipartition size does not match the state")
-    order = bipartition.members + bipartition.complement
-    arr = np.transpose(state.amplitudes, order)
-    wm = _flat_weights([state.axes[k] for k in bipartition.members])
-    wrest = _flat_weights([state.axes[k] for k in bipartition.complement])
-    F = arr.reshape(wm.size, wrest.size)
+    F, wm, wrest = _blocks(state.amplitudes, [ax.weights for ax in state.axes], bipartition)
     if weighted:
         F = F * np.sqrt(np.outer(wm, wrest))
     return F, wm, wrest
+
+
+@dataclass(frozen=True)
+class Split:
+    """A state prepared once for a bipartition; every route and check reads it.
+
+    F holds the raw amplitudes as (member block, complement block), wm and
+    wrest the flattened quadrature weights of the two blocks, and G the
+    weighted matrix F * sqrt(wm wrest), whose singular values are the Schmidt
+    coefficients. F and G are scaled to unit weighted norm, so a state whose
+    stored norm is off by round-off gives the routes of the normalized state.
+    """
+
+    bipartition: Bipartition
+    F: np.ndarray
+    wm: np.ndarray
+    wrest: np.ndarray
+    G: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, bipartition: Bipartition, F, wm, wrest) -> "Split":
+        G = F * np.sqrt(np.outer(wm, wrest))
+        norm = np.linalg.norm(G)
+        G /= norm
+        return cls(bipartition, F / norm, wm, wrest, G)
+
+
+def split(state: GridState, bipartition: Bipartition) -> Split:
+    """The prepared split of a grid state (one call of block_matrix)."""
+    return Split.from_blocks(bipartition, *block_matrix(state, bipartition, weighted=False))

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quadrature import gauss_hermite_rule
-from .states import Bipartition, GaussianPureState, GridState, block_matrix
+from .quadrature import _product_weights, gauss_hermite_rule
+from .states import Bipartition, GaussianPureState, GridState, split
 
 # Dense operators over the linearized grid are capped at this edge length.
 _MAX_OPERATOR_DIM = 4096
@@ -99,9 +99,7 @@ def _check_operator_size(gm: int, gmbar: int):
         )
 
 
-def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
-    """Max-norm of Phi(X) - Phi(Lambda X) over the doubled grid (raw amplitudes)."""
-    F, _, _ = block_matrix(state, bipartition, weighted=False)
+def _lambda_gap(F: np.ndarray) -> float:
     gm = F.shape[0]
     gap = 0.0
     for a in range(gm):
@@ -110,6 +108,11 @@ def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
         swapped = F[:, :, None] * F[a][None, None, :]
         gap = max(gap, float(np.max(np.abs(phi - swapped))))
     return gap
+
+
+def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
+    """Max-norm of Phi(X) - Phi(Lambda X) over the doubled grid (raw amplitudes)."""
+    return _lambda_gap(split(state, bipartition).F)
 
 
 def _pt_matrix(G: np.ndarray) -> np.ndarray:
@@ -129,14 +132,11 @@ def _pt_tilde_matrix(G: np.ndarray) -> np.ndarray:
 def build_rho_pt(state: GridState, bipartition: Bipartition) -> DiscreteOperator:
     """Partial transpose of the pure density operator: kernel
     phi(x_M, y_rest) phi*(y_M, x_rest) with symmetric weighting."""
-    G, _, _ = block_matrix(state, bipartition)
-    return DiscreteOperator(_pt_matrix(G))
+    return DiscreteOperator(_pt_matrix(split(state, bipartition).G))
 
 
-def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
-    """Squared Hilbert-Schmidt distance between rho-tilde and its partial transpose."""
-    G, _, _ = block_matrix(state, bipartition)
-    gm, gmbar = G.shape
+def _route_d(G: np.ndarray) -> float:
+    gm = G.shape[0]
     total = 0.0
     for a in range(gm):
         plain = G[a][:, None, None] * G[None, :, :]       # [b,c,d] = G[a,b] G[c,d]
@@ -145,14 +145,12 @@ def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
     return total
 
 
-def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
-    """Max-norm residual of the partial-transpose square factorization.
+def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
+    """Squared Hilbert-Schmidt distance between rho-tilde and its partial transpose."""
+    return _route_d(split(state, bipartition).G)
 
-    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
-    rho_M (x) rho_rest; the conjugation on the complement factor comes from
-    the transposed kernel ordering and is invisible for real wavefunctions.
-    """
-    G, _, _ = block_matrix(state, bipartition)
+
+def _pt_square_gap(G: np.ndarray) -> float:
     rho_m = G @ G.conj().T
     rho_rest = G.T @ G.conj()
     pt = _pt_matrix(G)
@@ -162,9 +160,17 @@ def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> f
     return max(gap_pt, gap_tilde)
 
 
-def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
-    """Fourth-power form 2 [1 - sqrt(Tr rho_PT^4)]."""
-    G, _, _ = block_matrix(state, bipartition)
+def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
+    """Max-norm residual of the partial-transpose square factorization.
+
+    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
+    rho_M (x) rho_rest; the conjugation on the complement factor comes from
+    the transposed kernel ordering and is invisible for real wavefunctions.
+    """
+    return _pt_square_gap(split(state, bipartition).G)
+
+
+def _route_e(G: np.ndarray) -> float:
     pt = _pt_matrix(G)
     sq = pt @ pt
     tr4 = float(np.sum(sq * sq.T).real)
@@ -173,9 +179,13 @@ def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
     return 2.0 * (1.0 - np.sqrt(max(tr4, 0.0)))
 
 
-def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
-    """Smallest eigenvalue of the hermitized partial-transpose matrix."""
-    op = build_rho_pt(state, bipartition)
+def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
+    """Fourth-power form 2 [1 - sqrt(Tr rho_PT^4)]."""
+    return _route_e(split(state, bipartition).G)
+
+
+def _ppt_min(G: np.ndarray) -> float:
+    op = DiscreteOperator(_pt_matrix(G))
     if op.hermiticity_residual > HERMITICITY_TOL:
         raise NumericError(
             f"anti-Hermitian residual {op.hermiticity_residual:.3g} exceeds "
@@ -186,6 +196,11 @@ def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}")
     return float(eigs[0])
+
+
+def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
+    """Smallest eigenvalue of the hermitized partial-transpose matrix."""
+    return _ppt_min(split(state, bipartition).G)
 
 
 def wigner_gaussian(state: GaussianPureState, x, p):
@@ -244,10 +259,7 @@ def wigner_normalization(state: GaussianPureState, points_per_axis: int = 40) ->
     x = np.stack(mesh[:n], axis=-1)
     p = np.stack(mesh[n:], axis=-1)
     vals = wigner_gaussian(state, x, p)
-    w = np.ones(())
-    for wi in list(rx.weights) + list(rp.weights):
-        w = np.multiply.outer(w, wi)
-    return float(np.sum(vals * w))
+    return float(np.sum(vals * _product_weights(rx.weights + rp.weights)))
 
 
 def wigner_pt_fourth_moment_concurrence(

@@ -8,7 +8,8 @@ import numpy as np
 
 from . import concurrence as conc
 from . import spectral, transpose
-from .states import Bipartition, GridState, block_matrix
+from .states import Bipartition, GridState, split
+from .wedge import lagrange_identity_gap
 
 SEPARABLE_E2 = 1e-10
 ENTANGLED_E2 = 1e-3
@@ -35,59 +36,46 @@ class VerificationReport:
 
 
 def run_verification(state: GridState, bipartition: Bipartition) -> VerificationReport:
+    sp = split(state, bipartition)
+    # The partial-transpose checks build dense operators; an over-size split
+    # fails here, before any route runs.
+    transpose._check_operator_size(*sp.G.shape)
     report = VerificationReport()
 
     report.add("normalization", state.norm_squared - 1.0, 1e-9)
 
     # Lagrange identity on the two largest member-block slices.
-    F, _, wrest = block_matrix(state, bipartition, weighted=False)
+    F, wrest = sp.F, sp.wrest
     norms = (np.abs(F) ** 2) @ wrest
     top = np.argsort(norms)[-2:]
-    from .wedge import lagrange_identity_gap
-
     scale = max(norms[top[0]] * norms[top[1]], 1e-300)
     gap = lagrange_identity_gap(F[top[0]], F[top[1]], wrest) / scale
     report.add("lagrange_identity", gap, 1e-12)
 
-    routes = {
-        "A": conc.concurrence_route_A(state, bipartition),
-        "B": conc.concurrence_route_B(state, bipartition),
-        "C": spectral.concurrence_route_C(state, bipartition),
-        "Lambda": conc.concurrence_route_Lambda(state, bipartition),
-        "D": transpose.concurrence_route_D(state, bipartition),
-        "E": transpose.concurrence_route_E(state, bipartition),
-    }
-    values = list(routes.values())
-    route_gap = max(abs(u - v) for u in values for v in values)
+    routes, route_gap = conc._route_values(sp, conc.ROUTES)
     report.add("route_agreement", route_gap, 1e-9)
-    e2 = routes["B"]
+    e2 = routes["route_B_overlap"]
 
-    op = transpose.build_rho_pt(state, bipartition)
-    report.add("trace_rho_pt", op.trace.real - 1.0, 1e-10)
-    tr2 = float(np.sum(op.matrix * op.matrix.T).real)
-    report.add("trace_rho_pt_squared", tr2 - 1.0, 1e-10)
-    report.add(
-        "pt_square_factorization",
-        transpose.pt_square_factorization_gap(state, bipartition),
-        1e-10,
-    )
+    pt = transpose._pt_matrix(sp.G)
+    report.add("trace_rho_pt", np.trace(pt).real - 1.0, 1e-10)
+    report.add("trace_rho_pt_squared", float(np.sum(pt * pt.T).real) - 1.0, 1e-10)
+    del pt  # one dense operator at a time
+    report.add("pt_square_factorization", transpose._pt_square_gap(sp.G), 1e-10)
 
-    report.add("hs_identity", spectral.hs_identity_gap(state, bipartition), 1e-10)
+    rd = spectral._reduce(sp)
+    hs_gap = spectral._hs_gap(routes["route_D_hilbert_schmidt"], spectral.purity(rd))
+    report.add("hs_identity", hs_gap, 1e-10)
 
-    rd = spectral.reduce(state, bipartition)
     entropy = spectral.von_neumann_entropy(rd)
     report.add("entropy_bound", max(0.0, e2 / 2.0 - entropy), 1e-9)
     if e2 < SEPARABLE_E2:
         report.add("entropy_vanishes_when_separable", entropy, 1e-9)
 
-    min_eig = transpose.ppt_min_eigenvalue(state, bipartition)
+    min_eig = transpose._ppt_min(sp.G)
     if e2 < SEPARABLE_E2:
         report.add("ppt_positive_for_separable", min_eig, 1e-8, passed=min_eig >= -1e-8)
+        report.add("lambda_invariance_for_separable", transpose._lambda_gap(sp.F), 1e-9)
     elif e2 > ENTANGLED_E2:
         report.add("ppt_negative_for_entangled", min_eig, 1e-6, passed=min_eig < -1e-6)
-
-    lam_gap = transpose.lambda_invariance_gap(state, bipartition)
-    if e2 < SEPARABLE_E2:
-        report.add("lambda_invariance_for_separable", lam_gap, 1e-9)
 
     return report

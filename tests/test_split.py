@@ -1,0 +1,135 @@
+"""The prepared split: one block matrix per command, unit norm, the route
+table every consumer reads, and the one Gaussian sampler."""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+import cvconc as cv
+from cvconc import Bipartition, GaussianPureState, GridAxis, GridState
+from cvconc import concurrence as conc
+from cvconc.cli import main
+from cvconc.quadrature import midpoint_rule
+from cvconc.serialization import gaussian_to_dict, save_grid_state
+
+from conftest import random_grid_state, random_product_state
+
+BP = Bipartition(2, (0,))
+
+
+def off_norm_state(seed=29, excess=5e-10):
+    """A random state whose stored norm^2 is 1 + excess, inside NORM_TOL."""
+    state = random_grid_state(np.random.default_rng(seed))
+    return GridState(state.axes, state.amplitudes * np.sqrt(1.0 + excess))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every cvconc module that holds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "cvconc" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_split_matches_block_matrix_at_unit_norm():
+    state = off_norm_state()
+    assert abs(state.norm_squared - 1.0 - 5e-10) < 1e-12
+    sp = cv.split(state, BP)
+    G, wm, wrest = cv.states.block_matrix(state, BP)
+    F, _, _ = cv.states.block_matrix(state, BP, weighted=False)
+    assert abs(np.linalg.norm(sp.G) - 1.0) < 1e-15
+    assert np.array_equal(sp.wm, wm) and np.array_equal(sp.wrest, wrest)
+    scale = np.sqrt(1.0 + 5e-10)
+    assert np.max(np.abs(sp.G * scale - G)) < 1e-15
+    assert np.max(np.abs(sp.F * scale - F)) < 1e-14
+
+
+def test_routes_agree_on_an_off_norm_state():
+    state = off_norm_state()
+    report = cv.concurrence_report(state, BP)
+    assert report.max_pairwise_gap < 1e-12
+    for name in ("C", "D", "E"):
+        assert abs(conc.ROUTES[name][1](cv.split(state, BP)) - report.route_A_wedge) < 1e-12
+    assert abs(cv.concurrence_route_C(state, BP) - report.route_B_overlap) < 1e-12
+    assert cv.run_verification(state, BP).overall
+
+
+def test_cli_concurrence_on_an_off_norm_file(tmp_path, capsys):
+    path = tmp_path / "off.json"
+    save_grid_state(off_norm_state(), path)
+    assert main(["concurrence", str(path), "--M", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["max_pairwise_gap"] < 1e-12
+    assert main(["concurrence", str(path), "--M", "0", "--routes", "A,B"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_pairwise_gap"] < 1e-12
+    assert main(["verify", str(path), "--M", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+
+def test_verify_fails_on_the_dense_cap_before_any_route(tmp_path, capsys, monkeypatch):
+    def refuse(G):
+        raise AssertionError("route A ran before the dense-operator cap was checked")
+
+    monkeypatch.setattr(conc, "_wedge_sum_and_max", refuse)
+    spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(gaussian_to_dict(spec)))
+    assert main(["verify", str(path), "--M", "0", "--grid", "65"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense operator would have edge 4225 > 4096" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--routes", "A,B,C,Lambda,D,E"],
+    ["verify"],
+])
+def test_cli_builds_one_block_matrix(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "prod.json"
+    save_grid_state(random_product_state(np.random.default_rng(37)), path)
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    assert main([argv[0], str(path), "--M", "0", *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
+def test_library_builds_one_block_matrix(monkeypatch):
+    state = random_product_state(np.random.default_rng(41))
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    cv.concurrence_report(state, BP)
+    assert len(calls) == 1
+    assert cv.decide_separability(state, BP).verdict == "separable"
+    assert len(calls) == 2
+
+
+def test_each_consumer_runs_the_wedge_loop_once(tmp_path, capsys, monkeypatch):
+    state = random_grid_state(np.random.default_rng(43))
+    path = tmp_path / "rand.json"
+    save_grid_state(state, path)
+    calls = count_calls(monkeypatch, conc, "_wedge_sum_and_max")
+    cv.concurrence_report(state, BP)
+    assert len(calls) == 1
+    assert main(["concurrence", str(path), "--M", "0", "--routes", "A"]) == 0
+    assert len(calls) == 2
+    cv.run_verification(state, BP)
+    assert len(calls) == 3
+
+
+def test_gaussian_numeric_on_the_midpoint_rule_is_the_grid_report():
+    spec = GaussianPureState(np.array([[1.0, 0.4 + 0.3j], [0.4 + 0.3j, 1.5]]))
+    axes = [GridAxis(-5.0, 5.0, 24), GridAxis(-4.0, 4.0, 20)]
+    numeric = cv.concurrence_gaussian_numeric(spec, BP, midpoint_rule(axes))
+    grid = cv.concurrence_report(cv.discretize(spec, axes), BP)
+    for key, value in grid.values().items():
+        assert abs(numeric.values()[key] - value) < 1e-12, key
+    assert numeric.verdict == grid.verdict == "entangled"
+    assert abs(numeric.mass_defect - grid.mass_defect) < 1e-12
+    assert numeric.mass_defect > 0.0

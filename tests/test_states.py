@@ -1,5 +1,5 @@
-"""State representations: grid axes, grid states, Gaussian states,
-bipartitions, and projection masks."""
+"""State representations: grid axes, grid states, Gaussian states and
+bipartitions."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from cvconc import (
     GaussianPureState,
     GridAxis,
     GridState,
-    build_masks,
     discretize,
     evaluate_gaussian,
     evaluate_grid,
@@ -204,17 +203,6 @@ def test_bipartition_validation():
         Bipartition(1, (0,))
     with pytest.raises(InputError):
         Bipartition.parse("a,b", 3)
-
-
-def test_build_masks():
-    masks = build_masks(Bipartition(2, (0,)))
-    assert np.array_equal(masks.M_mask, np.diag([1.0, 0.0]))
-    masks3 = build_masks(Bipartition(3, (0, 2)))
-    assert np.array_equal(masks3.M_mask, np.diag([1.0, 0.0, 1.0]))
-    assert np.array_equal(masks3.M_mask @ masks3.M_mask, masks3.M_mask)
-    X = np.arange(6.0)
-    assert np.array_equal(masks3.N1 @ X, X[:3])
-    assert np.array_equal(masks3.N2 @ X, X[3:])
 
 
 def test_axis_permutation_leaves_concurrence_unchanged():
