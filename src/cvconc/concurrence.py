@@ -11,14 +11,9 @@ from . import spectral, transpose
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
+from .wedge import _pair_matrix, _wedge_chunks
 
 DEFAULT_THRESHOLD = 1e-8
-
-# Bound on the complex elements the wedge loop holds at once: its two chunk
-# buffers, the coefficients D and the product subtracted from them, together
-# stay within it (65536 elements, 1 MB) unless a single row pair needs more.
-# Chunks this small also stay in cache.
-_CHUNK_BUDGET = 65_536
 
 
 def _wedge_sum_and_max(G: np.ndarray) -> float:
@@ -26,27 +21,10 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     direct-integral squared concurrence, every coefficient formed explicitly.
 
     The a = b terms vanish and (a, b), (b, a) contribute equally, so the sum
-    runs over row pairs a < b and is doubled. Only the sum is returned; the
-    name stays because bench/tracer.py counts the quadruples of each call of
-    the quartic loop by it.
+    runs over the row pairs a < b of the wedge kernel and is doubled. The name
+    stays because bench/tracer.py counts route A's quadruples by it.
     """
-    gm, gmbar = G.shape
-    rows_a, rows_b = np.triu_indices(gm, k=1)
-    pairs = max(1, min(rows_a.size, _CHUNK_BUDGET // (2 * gmbar * gmbar)))
-    # Two buffers, reused by every chunk: D[p, x, y] = G[a,x] G[b,y] and the
-    # product P[p, x, y] = G[a,y] G[b,x] that is subtracted from it.
-    D = np.empty((pairs, gmbar, gmbar), dtype=complex)
-    P = np.empty_like(D)
-    total = 0.0
-    for p0 in range(0, rows_a.size, pairs):
-        Ga = G[rows_a[p0:p0 + pairs]]
-        Gb = G[rows_b[p0:p0 + pairs]]
-        d, p = D[:len(Ga)], P[:len(Ga)]
-        np.multiply(Ga[:, :, None], Gb[:, None, :], out=d)
-        np.multiply(Gb[:, :, None], Ga[:, None, :], out=p)
-        d -= p
-        total += np.vdot(d, d).real
-    return 2.0 * total
+    return 2.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G))
 
 
 def _route_b_from_matrix(G: np.ndarray) -> float:
@@ -134,24 +112,16 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
     func = _resolve_f(f)
     sp = split(state, bipartition)
     F, wm, wrest = sp.F, sp.wm, sp.wrest
-    gm = F.shape[0]
     if p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
         overlaps = np.einsum("ax,bx,x->ab", F, F.conj(), wrest)
         norm_sq = np.maximum(np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2, 0.0)
         norms = np.sqrt(norm_sq)
-    elif p == 1 or p == np.inf or p == "inf":
-        norms = np.zeros((gm, gm))
-        pair_w = np.outer(wrest, wrest)
-        for a in range(gm):
-            T = F[a][None, :, None] * F[:, None, :]
-            D = T - T.transpose(0, 2, 1)      # D[b, x, y] = F[a,x]F[b,y] - F[a,y]F[b,x]
-            mag = np.abs(D)
-            if p == 1:
-                # Ordered pairs y > x carry half of the symmetric full sum.
-                norms[a] = 0.5 * np.einsum("bxy,xy->b", mag, pair_w)
-            else:
-                norms[a] = mag.reshape(gm, -1).max(axis=1)
+    elif p == 1:
+        # Rows of F w_rest weight D by w_x w_y; pairs y > x are half the sum.
+        norms = 0.5 * _pair_matrix(F * wrest, np.sum)
+    elif p == np.inf or p == "inf":
+        norms = _pair_matrix(F, np.max)
     else:
         raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
     integral = float(np.einsum("ab,a,b->", func(norms), wm, wm))

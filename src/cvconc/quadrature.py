@@ -85,7 +85,8 @@ def integrate(rule: ProductRule, f) -> complex:
     """Deterministic weighted sum of f over the product grid.
 
     f is called with one positional coordinate array per axis (broadcast over
-    the full mesh); scalar-only callables are evaluated point by point.
+    the full mesh). A callable that rejects arrays with TypeError or
+    ValueError, as scalar-only code does, is evaluated point by point.
     """
     mesh = np.meshgrid(*rule.nodes, indexing="ij")
     shape = mesh[0].shape if mesh else ()
@@ -93,7 +94,7 @@ def integrate(rule: ProductRule, f) -> complex:
         values = np.asarray(f(*mesh), dtype=np.complex128)
         if values.shape != shape:
             raise ValueError
-    except Exception:
+    except (TypeError, ValueError):
         flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         values = np.array([f(*pt) for pt in flat], dtype=np.complex128).reshape(shape)
     if not np.all(np.isfinite(values.view(float))):

@@ -11,8 +11,10 @@ import numpy as np
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
 from .states import Bipartition, GaussianPureState, GridState, split
+from .wedge import _pair_matrix, _wedge_chunks
 
-# Dense operators over the linearized grid are capped at this edge length.
+# Dense operators over the linearized grid are capped at this edge length;
+# only the verification checks and the public dense builders need them.
 _MAX_OPERATOR_DIM = 4096
 
 HERMITICITY_TOL = 1e-12
@@ -100,14 +102,9 @@ def _check_operator_size(gm: int, gmbar: int):
 
 
 def _lambda_gap(F: np.ndarray) -> float:
-    gm = F.shape[0]
-    gap = 0.0
-    for a in range(gm):
-        # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d].
-        phi = F[a][None, :, None] * F[:, None, :]
-        swapped = F[:, :, None] * F[a][None, None, :]
-        gap = max(gap, float(np.max(np.abs(phi - swapped))))
-    return gap
+    # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d],
+    # so the gap is the largest wedge coefficient over the row pairs of F.
+    return float(_pair_matrix(F, np.max).max())
 
 
 def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
@@ -116,17 +113,13 @@ def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
 
 
 def _pt_matrix(G: np.ndarray) -> np.ndarray:
-    gm, gmbar = G.shape
-    _check_operator_size(gm, gmbar)
-    R = np.einsum("ad,cb->abcd", G, G.conj())
-    return R.reshape(gm * gmbar, gm * gmbar)
+    _check_operator_size(*G.shape)
+    return np.einsum("ad,cb->abcd", G, G.conj()).reshape(G.size, G.size)
 
 
 def _pt_tilde_matrix(G: np.ndarray) -> np.ndarray:
-    gm, gmbar = G.shape
-    _check_operator_size(gm, gmbar)
-    R = np.einsum("ad,cb->abcd", G, G)
-    return R.reshape(gm * gmbar, gm * gmbar)
+    _check_operator_size(*G.shape)
+    return np.einsum("ad,cb->abcd", G, G).reshape(G.size, G.size)
 
 
 def build_rho_pt(state: GridState, bipartition: Bipartition) -> DiscreteOperator:
@@ -136,13 +129,10 @@ def build_rho_pt(state: GridState, bipartition: Bipartition) -> DiscreteOperator
 
 
 def _route_d(G: np.ndarray) -> float:
-    gm = G.shape[0]
-    total = 0.0
-    for a in range(gm):
-        plain = G[a][:, None, None] * G[None, :, :]       # [b,c,d] = G[a,b] G[c,d]
-        swapped = G.T[:, :, None] * G[a][None, None, :]   # [b,c,d] = G[c,b] G[a,d]
-        total += float(np.sum(np.abs(plain - swapped) ** 2))
-    return total
+    # rho~ - rho~^Gamma has the entries G[a,b] G[c,d] - G[c,b] G[a,d]: the
+    # wedge coefficients of the column pairs (b, d) of G. Pairs b = d vanish
+    # and (b, d), (d, b) contribute equally.
+    return float(2.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T)))
 
 
 def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
@@ -150,14 +140,16 @@ def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
     return _route_d(split(state, bipartition).G)
 
 
-def _pt_square_gap(G: np.ndarray) -> float:
+def _pt_square_gap(G: np.ndarray, pt: np.ndarray) -> float:
     rho_m = G @ G.conj().T
     rho_rest = G.T @ G.conj()
-    pt = _pt_matrix(G)
-    gap_pt = float(np.max(np.abs(pt @ pt - np.kron(rho_m, rho_rest.conj()))))
+    sq = pt @ pt
+    sq -= np.kron(rho_m, rho_rest.conj())
+    gap_pt = float(np.max(np.abs(sq)))
     tilde = _pt_tilde_matrix(G)
-    gap_tilde = float(np.max(np.abs(tilde @ tilde.conj().T - np.kron(rho_m, rho_rest))))
-    return max(gap_pt, gap_tilde)
+    np.matmul(tilde, tilde.conj().T, out=sq)
+    sq -= np.kron(rho_m, rho_rest)
+    return max(gap_pt, float(np.max(np.abs(sq))))
 
 
 def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
@@ -167,16 +159,15 @@ def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> f
     rho_M (x) rho_rest; the conjugation on the complement factor comes from
     the transposed kernel ordering and is invisible for real wavefunctions.
     """
-    return _pt_square_gap(split(state, bipartition).G)
+    G = split(state, bipartition).G
+    return _pt_square_gap(G, _pt_matrix(G))
 
 
 def _route_e(G: np.ndarray) -> float:
-    pt = _pt_matrix(G)
-    sq = pt @ pt
-    tr4 = float(np.sum(sq * sq.T).real)
-    if tr4 < -1e-12:
-        raise NumericError(f"Tr(rho_PT^4) = {tr4:.3g} is negative beyond round-off")
-    return 2.0 * (1.0 - np.sqrt(max(tr4, 0.0)))
+    # rho_PT^2 = rho_M (x) conj(rho_rest), so sqrt(Tr rho_PT^4) is the product
+    # of the Frobenius norms of the two reduced densities; unlike route C it
+    # sees the purities of the two blocks disagree.
+    return float(2.0 * (1.0 - np.linalg.norm(G @ G.conj().T) * np.linalg.norm(G.T @ G.conj())))
 
 
 def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
@@ -184,8 +175,8 @@ def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
     return _route_e(split(state, bipartition).G)
 
 
-def _ppt_min(G: np.ndarray) -> float:
-    op = DiscreteOperator(_pt_matrix(G))
+def _ppt_min(pt: np.ndarray) -> float:
+    op = DiscreteOperator(pt)
     if op.hermiticity_residual > HERMITICITY_TOL:
         raise NumericError(
             f"anti-Hermitian residual {op.hermiticity_residual:.3g} exceeds "
@@ -200,7 +191,7 @@ def _ppt_min(G: np.ndarray) -> float:
 
 def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
     """Smallest eigenvalue of the hermitized partial-transpose matrix."""
-    return _ppt_min(split(state, bipartition).G)
+    return _ppt_min(_pt_matrix(split(state, bipartition).G))
 
 
 def wigner_gaussian(state: GaussianPureState, x, p):

@@ -56,11 +56,11 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     report.add("route_agreement", route_gap, 1e-9)
     e2 = routes["route_B_overlap"]
 
+    # The one dense partial transpose of the run, shared by the checks below.
     pt = transpose._pt_matrix(sp.G)
     report.add("trace_rho_pt", np.trace(pt).real - 1.0, 1e-10)
     report.add("trace_rho_pt_squared", float(np.sum(pt * pt.T).real) - 1.0, 1e-10)
-    del pt  # one dense operator at a time
-    report.add("pt_square_factorization", transpose._pt_square_gap(sp.G), 1e-10)
+    report.add("pt_square_factorization", transpose._pt_square_gap(sp.G, pt), 1e-10)
 
     rd = spectral._reduce(sp)
     hs_gap = spectral._hs_gap(routes["route_D_hilbert_schmidt"], spectral.purity(rd))
@@ -71,11 +71,13 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     if e2 < SEPARABLE_E2:
         report.add("entropy_vanishes_when_separable", entropy, 1e-9)
 
-    min_eig = transpose._ppt_min(sp.G)
+    # Between the two thresholds no PPT check is reported, so none is solved.
     if e2 < SEPARABLE_E2:
+        min_eig = transpose._ppt_min(pt)
         report.add("ppt_positive_for_separable", min_eig, 1e-8, passed=min_eig >= -1e-8)
         report.add("lambda_invariance_for_separable", transpose._lambda_gap(sp.F), 1e-9)
     elif e2 > ENTANGLED_E2:
+        min_eig = transpose._ppt_min(pt)
         report.add("ppt_negative_for_entangled", min_eig, 1e-6, passed=min_eig < -1e-6)
 
     return report

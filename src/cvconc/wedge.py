@@ -1,4 +1,6 @@
-"""Wedge product on discretized function spaces and the extended Lagrange identity."""
+"""Wedge product on discretized function spaces, the extended Lagrange
+identity, and `_wedge_chunks`, the one kernel forming the wedge coefficients
+of row pairs for routes A and D, the measure family and the Lambda gap."""
 
 from __future__ import annotations
 
@@ -7,6 +9,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+
+# Complex elements of the kernel's two reused chunk buffers together (512 KiB)
+# unless one row pair needs more. On one BLAS thread twice this was slower on
+# 8^3 states, and half of it slowed route A at 64^2 by about 10 %.
+_CHUNK_BUDGET = 32_768
+
+
+def _wedge_chunks(M: np.ndarray):
+    """Yield (rows_a, rows_b, D) over the row pairs a < b of M, chunk by chunk:
+    D[p, x, y] = M[a,x] M[b,y] - M[a,y] M[b,x] for a, b = rows_a[p], rows_b[p].
+    D is a buffer the next chunk overwrites; reduce it before the next."""
+    rows, cols = M.shape
+    rows_a, rows_b = np.triu_indices(rows, k=1)
+    pairs = max(1, min(rows_a.size, _CHUNK_BUDGET // (2 * cols * cols)))
+    D = np.empty((pairs, cols, cols), dtype=complex)
+    P = np.empty_like(D)
+    for p0 in range(0, rows_a.size, pairs):
+        a, b = rows_a[p0:p0 + pairs], rows_b[p0:p0 + pairs]
+        Ma, Mb = M[a], M[b]
+        d, p = D[:a.size], P[:a.size]
+        np.multiply(Ma[:, :, None], Mb[:, None, :], out=d)
+        np.multiply(Mb[:, :, None], Ma[:, None, :], out=p)
+        d -= p
+        yield a, b, d
+
+
+def _pair_matrix(M: np.ndarray, reduce) -> np.ndarray:
+    """Symmetric matrix of reduce(|D|) (np.sum or np.max) per row pair of M."""
+    out = np.zeros((M.shape[0], M.shape[0]))
+    for a, b, d in _wedge_chunks(M):
+        out[a, b] = out[b, a] = reduce(np.abs(d), axis=(1, 2))
+    return out
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,37 @@ def direct_concurrence(state, bipartition):
     return total
 
 
+def lambda_gap(state, bipartition):
+    """Largest |Phi(X) - Phi(Lambda X)| over the doubled grid of raw
+    amplitudes: Phi[(a,b),(c,d)] = F[a,b] F[c,d], swapped to F[c,b] F[a,d]."""
+    F, _, _ = _split(state, bipartition)
+    gm, gr = F.shape
+    gap = 0.0
+    for a in range(gm):
+        for c in range(gm):
+            for b in range(gr):
+                for d in range(gr):
+                    gap = max(gap, abs(F[a, b] * F[c, d] - F[c, b] * F[a, d]))
+    return gap
+
+
+def family_p_norm(state, bipartition, p):
+    """Integral over slice pairs (a, b) of the weighted p-norm (p = 1 or inf)
+    of the wedge of F[a] and F[b] over ordered complement pairs y > x."""
+    F, wm, wr = _split(state, bipartition)
+    gm, gr = F.shape
+    total = 0.0
+    for a in range(gm):
+        for b in range(gm):
+            norm = 0.0
+            for x in range(gr):
+                for y in range(x + 1, gr):
+                    d = abs(F[a, x] * F[b, y] - F[a, y] * F[b, x])
+                    norm = norm + d * wr[x] * wr[y] if p == 1 else max(norm, d)
+            total += norm * wm[a] * wm[b]
+    return total
+
+
 def overlap_concurrence(state, bipartition):
     """2 [1 - sum over |K(a, b)|^2] with K the weighted slice overlap kernel."""
     F, wm, wr = _split(state, bipartition)

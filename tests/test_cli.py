@@ -190,6 +190,21 @@ def test_cmd_concurrence_non_finite_input(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+def test_cmd_concurrence_every_route_beyond_the_verify_cap(tmp_path, capsys):
+    # 70 x 70 = 4900 exceeds verify's dense-operator edge of 4096; no route
+    # builds a dense operator, so all six run.
+    rng = np.random.default_rng(53)
+    axes = (GridAxis(-4.0, 4.0, 70),) * 2
+    amp = rng.normal(size=(70, 70)) + 1j * rng.normal(size=(70, 70))
+    path = tmp_path / "grid70.json"
+    save_grid_state(GridState.from_amplitudes(axes, amp), path)
+    argv = ["concurrence", str(path), "--M", "0", "--routes", "A,B,C,Lambda,D,E"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["max_pairwise_gap"] < 1e-9
+    assert {key for key, _ in cv.concurrence.ROUTES.values()} <= set(out)
+
+
 def test_cmd_concurrence_missing_file(capsys):
     assert main(["concurrence", "/nonexistent/state.json", "--M", "0"]) == 1
 

@@ -2,6 +2,8 @@
 separability decisions, checked against brute-force loop oracles and the
 two-mode Gaussian closed forms."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -263,30 +265,49 @@ def test_verdict_stable_under_grid_refinement():
     assert cert.witness.magnitude_sq > 0.0
 
 
-@pytest.mark.parametrize("members, pairs_per_chunk", [((0,), 3), ((1, 2), 100)])
-def test_route_A_chunk_boundaries(monkeypatch, members, pairs_per_chunk):
+# Every consumer of the wedge kernel: (function of the state, plain-loop
+# oracle, whether the kernel runs over the columns of the block matrix).
+WEDGE_CONSUMERS = {
+    "A": (concurrence_route_A, oracles.direct_concurrence, False),
+    "D": (cv.concurrence_route_D, oracles.direct_concurrence, True),
+    "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, False),
+    "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
+                  lambda s, bp: oracles.family_p_norm(s, bp, 1), False),
+    "family_pinf": (lambda s, bp: family_measure(s, bp, "identity", np.inf, 1),
+                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), False),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(WEDGE_CONSUMERS))
+@pytest.mark.parametrize("members", [(0,), (1, 2)])
+def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     # A 5 x 4 x 6 state split 5 | 24 (gm << gmbar) and 24 | 5 (gm >> gmbar),
     # with the budget set so that several chunks run and the last is partial.
-    from cvconc import concurrence as conc
-
+    wedge = sys.modules["cvconc.wedge"]  # cvconc.wedge is also the wedge function
+    func, oracle, columns = WEDGE_CONSUMERS[consumer]
     state = small_random_state(101, shape=(5, 4, 6))
     bp = Bipartition(3, members)
     G, _, _ = cv.states.block_matrix(state, bp)
-    gm, gmbar = G.shape
-    budget = 2 * gmbar * gmbar * pairs_per_chunk
-    monkeypatch.setattr(conc, "_CHUNK_BUDGET", budget)
+    rows, cols = G.T.shape if columns else G.shape
+    npairs = rows * (rows - 1) // 2
+    budget = 2 * cols * cols * (npairs // 3 + 1)
+    monkeypatch.setattr(wedge, "_CHUNK_BUDGET", budget)
     chunk_sizes = []
-    vdot = np.vdot
+    original = wedge._wedge_chunks
 
-    def counting_vdot(u, v):
-        chunk_sizes.append(u.size)
-        return vdot(u, v)
+    def recording_chunks(M):
+        assert M.shape == (rows, cols)
+        for a, b, d in original(M):
+            chunk_sizes.append(d.size)
+            yield a, b, d
 
-    monkeypatch.setattr(np, "vdot", counting_vdot)
-    value = concurrence_route_A(state, bp)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "cvconc" and vars(mod).get("_wedge_chunks") is original:
+            monkeypatch.setattr(mod, "_wedge_chunks", recording_chunks)
+    value = func(state, bp)
     monkeypatch.undo()
     assert len(chunk_sizes) >= 3
     assert chunk_sizes[-1] < chunk_sizes[0]
     assert 2 * max(chunk_sizes) <= budget
-    assert sum(chunk_sizes) == gm * (gm - 1) // 2 * gmbar * gmbar
-    assert abs(value - oracles.direct_concurrence(state, bp)) < 1e-12
+    assert sum(chunk_sizes) == npairs * cols * cols
+    assert abs(value - oracle(state, bp)) < 1e-12

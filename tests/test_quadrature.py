@@ -104,6 +104,19 @@ def test_integrate_scalar_callable_fallback():
     assert abs(value - 1.0) < 1e-12
 
 
+def test_integrate_propagates_integrand_errors():
+    rule = midpoint_rule([GridAxis(0.0, 1.0, 4), GridAxis(0.0, 1.0, 4)])
+    calls = []
+
+    def broken(x, y):
+        calls.append(x)
+        raise ZeroDivisionError("integrand fault")
+
+    with pytest.raises(ZeroDivisionError, match="integrand fault"):
+        integrate(rule, broken)
+    assert len(calls) == 1
+
+
 def test_integrate_rejects_nonfinite():
     rule = midpoint_rule([GridAxis(0.0, 1.0, 4)])
     with np.errstate(divide="ignore"), pytest.raises(NumericError):

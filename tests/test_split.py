@@ -110,6 +110,16 @@ def test_library_builds_one_block_matrix(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("state", [
+    random_product_state(np.random.default_rng(47)),
+    random_grid_state(np.random.default_rng(47)),
+], ids=["separable", "entangled"])
+def test_verify_builds_one_dense_partial_transpose(monkeypatch, state):
+    calls = count_calls(monkeypatch, cv.transpose, "_pt_matrix")
+    assert cv.run_verification(state, BP).overall
+    assert len(calls) == 1
+
+
 def test_each_consumer_runs_the_wedge_loop_once(tmp_path, capsys, monkeypatch):
     state = random_grid_state(np.random.default_rng(43))
     path = tmp_path / "rand.json"

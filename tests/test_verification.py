@@ -2,8 +2,16 @@
 
 import numpy as np
 
-from cvconc import Bipartition, run_verification
-from cvconc.verification import VerificationReport
+from cvconc import (
+    Bipartition,
+    GaussianPureState,
+    GridAxis,
+    concurrence_route_B,
+    discretize,
+    run_verification,
+    transpose,
+)
+from cvconc.verification import ENTANGLED_E2, SEPARABLE_E2, VerificationReport
 
 from conftest import random_grid_state, random_product_state
 
@@ -42,3 +50,20 @@ def test_entangled_state_gets_ppt_negativity_check():
     names = [c["name"] for c in report.checks]
     assert "ppt_negative_for_entangled" in names
     assert "entropy_vanishes_when_separable" not in names
+
+
+
+def test_ppt_minimum_solved_only_when_reported(monkeypatch):
+    # Precision off-diagonal 0.03 on 32^2 points: E^2 is about 9e-4, between
+    # the separable and entangled thresholds, where no PPT check is reported.
+    spec = GaussianPureState(np.array([[1.0, 0.03], [0.03, 1.0]], dtype=complex))
+    state = discretize(spec, [GridAxis(-8.0, 8.0, 32)] * 2)
+    assert SEPARABLE_E2 < concurrence_route_B(state, BP) < ENTANGLED_E2
+
+    def refuse(pt):
+        raise AssertionError("the PPT minimum was solved but is not reported")
+
+    monkeypatch.setattr(transpose, "_ppt_min", refuse)
+    report = run_verification(state, BP)
+    assert report.overall
+    assert not any(c["name"].startswith("ppt_") for c in report.checks)

@@ -1,10 +1,22 @@
-"""Wedge product coefficients, weighted bivector norms, and the extended
-Lagrange identity."""
+"""Wedge product coefficients, weighted bivector norms, the extended
+Lagrange identity, and the memory bound of the chunked wedge kernel."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cvconc import bivector_p_norm, lagrange_identity_gap, wedge
+from cvconc import (
+    Bipartition,
+    GridAxis,
+    GridState,
+    bivector_p_norm,
+    concurrence_route_D,
+    family_measure,
+    lagrange_identity_gap,
+    lambda_invariance_gap,
+    wedge,
+)
 from cvconc.errors import InputError
 
 
@@ -113,3 +125,28 @@ def test_lagrange_gap_random_pairs():
         w = rng.uniform(0.05, 3.0, size=size)
         nf, ng, _ = _weighted_norms(f, g, w)
         assert abs(lagrange_identity_gap(f, g, w)) < 1e-12 * nf * ng
+
+
+@pytest.mark.parametrize("consumer", ["route_D", "lambda_gap", "family_p1", "family_pinf"])
+def test_wedge_consumers_hold_a_bounded_chunk(consumer):
+    # On 64 x 128 one slice's wedge with every other slice spans about 10^6
+    # complex values (16 MiB per array); the chunked kernel holds two buffers
+    # within its budget instead.
+    rng = np.random.default_rng(5)
+    axes = (GridAxis(-4.0, 4.0, 64), GridAxis(-4.0, 4.0, 128))
+    amp = rng.normal(size=(64, 128)) + 1j * rng.normal(size=(64, 128))
+    state = GridState.from_amplitudes(axes, amp)
+    bp = Bipartition(2, (0,))
+    run = {
+        "route_D": lambda: concurrence_route_D(state, bp),
+        "lambda_gap": lambda: lambda_invariance_gap(state, bp),
+        "family_p1": lambda: family_measure(state, bp, "identity", 1, 1),
+        "family_pinf": lambda: family_measure(state, bp, "identity", np.inf, 1),
+    }[consumer]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
