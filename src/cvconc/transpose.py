@@ -1,6 +1,7 @@
-"""Doubled-coordinate block-swap machinery, partial-transpose operators,
-the Hilbert-Schmidt and fourth-power concurrence routes, PPT spectra, and
-Wigner-function invariance checks for Gaussian states."""
+"""Doubled-coordinate block-swap machinery, the partial transpose applied
+matrix-free, the Hilbert-Schmidt and fourth-power concurrence routes, the PPT
+certificate from one SVD, and Wigner-function invariance checks for Gaussian
+states. Only build_rho_pt forms a dense operator."""
 
 from __future__ import annotations
 
@@ -11,13 +12,17 @@ import numpy as np
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
 from .states import Bipartition, GaussianPureState, GridState, split
-from .wedge import _pair_matrix, _wedge_chunks
+from .wedge import _CHUNK_BUDGET, _pair_matrix, _wedge_chunks
 
-# Dense operators over the linearized grid are capped at this edge length;
-# only the verification checks and the public dense builders need them.
+# Edge cap of the one dense operator over the linearized grid, the matrix
+# build_rho_pt returns; every other check applies the partial transpose
+# matrix-free.
 _MAX_OPERATOR_DIM = 4096
 
-HERMITICITY_TOL = 1e-12
+# Random probes of the square-factorization check: complex Gaussian with
+# E|V_ij|^2 = 1, drawn from a fixed seed so the check is deterministic.
+_PROBES = 8
+_PROBE_SEED = 1979
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,6 @@ class DiscreteOperator:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -117,15 +118,64 @@ def _pt_matrix(G: np.ndarray) -> np.ndarray:
     return np.einsum("ad,cb->abcd", G, G.conj()).reshape(G.size, G.size)
 
 
-def _pt_tilde_matrix(G: np.ndarray) -> np.ndarray:
-    _check_operator_size(*G.shape)
-    return np.einsum("ad,cb->abcd", G, G).reshape(G.size, G.size)
-
-
 def build_rho_pt(state: GridState, bipartition: Bipartition) -> DiscreteOperator:
     """Partial transpose of the pure density operator: kernel
     phi(x_M, y_rest) phi*(y_M, x_rest) with symmetric weighting."""
     return DiscreteOperator(_pt_matrix(split(state, bipartition).G))
+
+
+def _pt_matvec(A: np.ndarray, V: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A V^T B over the last two axes of V (gm x gmbar, optionally stacked).
+
+    With A = G, B = conj(G) this is rho_PT V, since
+    (rho_PT V)[a,b] = sum_cd G[a,d] conj(G[c,b]) V[c,d]; A = B = G gives
+    rho~_PT V and A = B = conj(G) gives rho~_PT^dag V. The product order keeps
+    the intermediate at min(gm, gmbar)^2 per probe.
+    """
+    Vt = V.swapaxes(-1, -2)
+    if A.shape[0] <= B.shape[1]:
+        return (A @ Vt) @ B
+    return A @ (Vt @ B)
+
+
+def _probe_norm(R: np.ndarray) -> float:
+    # sqrt(mean_k ||R V_k||_F^2); the mean is an unbiased estimate of ||R||_F^2.
+    return float(np.sqrt(np.vdot(R, R).real / _PROBES))
+
+
+def _pt_square_gap(G: np.ndarray) -> float:
+    """Probe estimate of the Frobenius residual of rho_PT^2 = rho_M (x)
+    conj(rho_rest) and rho~_PT rho~_PT^dag = rho_M (x) rho_rest.
+
+    On gm x gmbar arrays (row-major vec) the right-hand sides act as
+    V -> rho_M V rho_rest and V -> rho_M V conj(rho_rest); they are formed
+    from the smaller Gram matrix only, independently of _pt_matvec.
+    """
+    rng = np.random.default_rng(_PROBE_SEED)
+    z = rng.standard_normal((2, _PROBES, *G.shape))
+    V = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    Gc = G.conj()
+    if G.shape[0] <= G.shape[1]:
+        left = (G @ Gc.T) @ V
+        target, target_tilde = (left @ G.T) @ Gc, (left @ Gc.T) @ G
+    else:
+        rest = G.T @ Gc
+        left = G @ (Gc.T @ V)
+        target, target_tilde = left @ rest, left @ rest.conj()
+    gap = _probe_norm(_pt_matvec(G, _pt_matvec(G, V, Gc), Gc) - target)
+    gap_tilde = _probe_norm(_pt_matvec(G, _pt_matvec(Gc, V, Gc), G) - target_tilde)
+    return max(gap, gap_tilde)
+
+
+def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
+    """Residual of the partial-transpose square factorization, estimated in
+    the Frobenius norm from seeded random probes (Freivalds 1979).
+
+    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
+    rho_M (x) rho_rest; the conjugation on the complement factor comes from
+    the transposed kernel ordering and is invisible for real wavefunctions.
+    """
+    return _pt_square_gap(split(state, bipartition).G)
 
 
 def _route_d(G: np.ndarray) -> float:
@@ -140,34 +190,20 @@ def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
     return _route_d(split(state, bipartition).G)
 
 
-def _pt_square_gap(G: np.ndarray, pt: np.ndarray) -> float:
-    rho_m = G @ G.conj().T
-    rho_rest = G.T @ G.conj()
-    sq = pt @ pt
-    sq -= np.kron(rho_m, rho_rest.conj())
-    gap_pt = float(np.max(np.abs(sq)))
-    tilde = _pt_tilde_matrix(G)
-    np.matmul(tilde, tilde.conj().T, out=sq)
-    sq -= np.kron(rho_m, rho_rest)
-    return max(gap_pt, float(np.max(np.abs(sq))))
-
-
-def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
-    """Max-norm residual of the partial-transpose square factorization.
-
-    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
-    rho_M (x) rho_rest; the conjugation on the complement factor comes from
-    the transposed kernel ordering and is invisible for real wavefunctions.
-    """
-    G = split(state, bipartition).G
-    return _pt_square_gap(G, _pt_matrix(G))
-
-
 def _route_e(G: np.ndarray) -> float:
     # rho_PT^2 = rho_M (x) conj(rho_rest), so sqrt(Tr rho_PT^4) is the product
     # of the Frobenius norms of the two reduced densities; unlike route C it
-    # sees the purities of the two blocks disagree.
-    return float(2.0 * (1.0 - np.linalg.norm(G @ G.conj().T) * np.linalg.norm(G.T @ G.conj())))
+    # sees the purities of the two blocks disagree. The smaller Gram matrix is
+    # formed whole; the larger one's squared norm is summed over column blocks
+    # of M within the wedge kernel's chunk budget.
+    M = G if G.shape[0] <= G.shape[1] else G.T
+    small = np.linalg.norm(M @ M.conj().T)
+    step = max(1, _CHUNK_BUDGET // M.shape[1])
+    large = 0.0
+    for j in range(0, M.shape[1], step):
+        block = M[:, j:j + step].conj().T @ M
+        large += np.vdot(block, block).real
+    return float(2.0 * (1.0 - small * np.sqrt(large)))
 
 
 def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
@@ -175,23 +211,31 @@ def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
     return _route_e(split(state, bipartition).G)
 
 
-def _ppt_min(pt: np.ndarray) -> float:
-    op = DiscreteOperator(pt)
-    if op.hermiticity_residual > HERMITICITY_TOL:
-        raise NumericError(
-            f"anti-Hermitian residual {op.hermiticity_residual:.3g} exceeds "
-            f"{HERMITICITY_TOL}"
-        )
-    try:
-        eigs = np.linalg.eigvalsh(op.hermitized())
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed: {exc}")
-    return float(eigs[0])
+def _ppt_bounds(G: np.ndarray) -> tuple:
+    """(lower, upper) bounds on the smallest eigenvalue of rho_PT from one SVD
+    G = U diag(s) Vh; the spectrum is {s_i^2, +-s_i s_j} (Vidal & Werner 2002).
+
+    upper is the Rayleigh quotient, under _pt_matvec, of the certificate
+    (u_1 (x) conj(vh_2) - u_2 (x) conj(vh_1)) / sqrt(2), an eigenvector with
+    eigenvalue -s_1 s_2; by Rayleigh-Ritz it bounds lambda_min from above.
+    lower is -2 (sum_{i>=2} s_i^2)^(1/2): the partial transpose of the rank-1
+    truncation is PSD and lies within 2 ||G - G_1||_F in the Frobenius norm,
+    so Weyl's inequality bounds lambda_min from below. With one row or column
+    rho_PT is PSD of rank 1, and its minimum is 0.
+    """
+    if min(G.shape) == 1:
+        return 0.0, 0.0
+    U, s, Vh = np.linalg.svd(G, full_matrices=False)
+    v = (np.outer(U[:, 0], Vh[1].conj()) - np.outer(U[:, 1], Vh[0].conj())) / np.sqrt(2.0)
+    upper = float(np.vdot(v, _pt_matvec(G, v, G.conj())).real)
+    lower = -2.0 * float(np.sqrt(np.sum(s[1:] ** 2)))
+    return lower, upper
 
 
 def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
-    """Smallest eigenvalue of the hermitized partial-transpose matrix."""
-    return _ppt_min(_pt_matrix(split(state, bipartition).G))
+    """Smallest eigenvalue of the partial transpose: the Rayleigh quotient of
+    its SVD certificate, -s_1 s_2 to round-off."""
+    return _ppt_bounds(split(state, bipartition).G)[1]
 
 
 def wigner_gaussian(state: GaussianPureState, x, p):

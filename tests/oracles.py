@@ -108,6 +108,28 @@ def dense_density(state):
     return np.outer(psi, np.conj(psi))
 
 
+def dense_partial_transpose(G, tilde=False):
+    """Partial transpose of the pure kernel of a weighted block matrix G,
+    entry by entry over row-major (member, complement) index pairs:
+    rho_PT[(a,b),(c,d)] = G[a,d] conj(G[c,b]), and G[a,d] G[c,b] for the
+    conjugation-free rho~_PT."""
+    gm, gr = G.shape
+    out = np.zeros((gm * gr, gm * gr), dtype=complex)
+    for a in range(gm):
+        for b in range(gr):
+            for c in range(gm):
+                for d in range(gr):
+                    other = G[c, b] if tilde else np.conj(G[c, b])
+                    out[a * gr + b, c * gr + d] = G[a, d] * other
+    return out
+
+
+def dense_ppt_min(G):
+    """Smallest eigenvalue of the dense rho_PT of G by a Hermitian eigensolver."""
+    pt = dense_partial_transpose(G)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
+
+
 def wigner_numeric(gaussian, x, p, points=96):
     """Wigner transform by direct quadrature of its defining integral:
     (1/pi)^n int psi*(x+y) psi(x-y) exp(2i p.y) d^n y."""

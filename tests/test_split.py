@@ -75,18 +75,14 @@ def test_cli_concurrence_on_an_off_norm_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["overall"] == "pass"
 
 
-def test_verify_fails_on_the_dense_cap_before_any_route(tmp_path, capsys, monkeypatch):
-    def refuse(G):
-        raise AssertionError("route A ran before the dense-operator cap was checked")
-
-    monkeypatch.setattr(conc, "_wedge_sum_and_max", refuse)
+def test_verify_passes_beyond_the_old_dense_cap(tmp_path, capsys):
+    # 65 x 65 = 4225 is above the dense-operator edge of 4096 that
+    # build_rho_pt keeps; verify builds no dense operator.
     spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
     path = tmp_path / "gauss.json"
     path.write_text(json.dumps(gaussian_to_dict(spec)))
-    assert main(["verify", str(path), "--M", "0", "--grid", "65"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "dense operator would have edge 4225 > 4096" in captured.err
+    assert main(["verify", str(path), "--M", "0", "--grid", "65"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,10 +110,10 @@ def test_library_builds_one_block_matrix(monkeypatch):
     random_product_state(np.random.default_rng(47)),
     random_grid_state(np.random.default_rng(47)),
 ], ids=["separable", "entangled"])
-def test_verify_builds_one_dense_partial_transpose(monkeypatch, state):
+def test_verify_builds_no_dense_partial_transpose(monkeypatch, state):
     calls = count_calls(monkeypatch, cv.transpose, "_pt_matrix")
     assert cv.run_verification(state, BP).overall
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_each_consumer_runs_the_wedge_loop_once(tmp_path, capsys, monkeypatch):

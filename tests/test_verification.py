@@ -60,10 +60,10 @@ def test_ppt_minimum_solved_only_when_reported(monkeypatch):
     state = discretize(spec, [GridAxis(-8.0, 8.0, 32)] * 2)
     assert SEPARABLE_E2 < concurrence_route_B(state, BP) < ENTANGLED_E2
 
-    def refuse(pt):
+    def refuse(G):
         raise AssertionError("the PPT minimum was solved but is not reported")
 
-    monkeypatch.setattr(transpose, "_ppt_min", refuse)
+    monkeypatch.setattr(transpose, "_ppt_bounds", refuse)
     report = run_verification(state, BP)
     assert report.overall
     assert not any(c["name"].startswith("ppt_") for c in report.checks)
