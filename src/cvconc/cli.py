@@ -119,6 +119,8 @@ def cmd_concurrence(args) -> int:
     from .states import split
 
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
+    if not wanted:
+        raise ValueError("no route given; --routes takes a subset of " + ",".join(conc.ROUTES))
     for name in wanted:
         if name not in conc.ROUTES:
             raise ValueError(f"unknown route {name!r}")

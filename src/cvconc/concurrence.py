@@ -20,11 +20,11 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     """Sum of |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 over all quadruples: the
     direct-integral squared concurrence, every coefficient formed explicitly.
 
-    The a = b terms vanish and (a, b), (b, a) contribute equally, so the sum
-    runs over the row pairs a < b of the wedge kernel and is doubled. The name
-    stays because bench/tracer.py counts route A's quadruples by it.
+    The a = b and x = y terms vanish and swapping a, b or x, y keeps |D|, so
+    the sum runs over the minors a < b, x < y of the wedge kernel, times 4.
+    The name stays because bench/tracer.py counts route A's quadruples by it.
     """
-    return 2.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G))
+    return 4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G))
 
 
 def _route_b_from_matrix(G: np.ndarray) -> float:
@@ -118,10 +118,10 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
         norm_sq = np.maximum(np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2, 0.0)
         norms = np.sqrt(norm_sq)
     elif p == 1:
-        # Rows of F w_rest weight D by w_x w_y; pairs y > x are half the sum.
-        norms = 0.5 * _pair_matrix(F * wrest, np.sum)
+        # Rows of F w_rest weight D by w_x w_y; the kernel sums the pairs y > x.
+        norms = _pair_matrix(F * wrest, np.add)
     elif p == np.inf or p == "inf":
-        norms = _pair_matrix(F, np.max)
+        norms = _pair_matrix(F, np.maximum)
     else:
         raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
     integral = float(np.einsum("ab,a,b->", func(norms), wm, wm))

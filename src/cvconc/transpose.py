@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
 from .states import Bipartition, GaussianPureState, GridState, split
-from .wedge import _CHUNK_BUDGET, _pair_matrix, _wedge_chunks
+from .wedge import _CHUNK_BUDGET, _wedge_chunks
 
 # Edge cap of the one dense operator over the linearized grid, the matrix
 # build_rho_pt returns; every other check applies the partial transpose
@@ -105,7 +105,7 @@ def _check_operator_size(gm: int, gmbar: int):
 def _lambda_gap(F: np.ndarray) -> float:
     # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d],
     # so the gap is the largest wedge coefficient over the row pairs of F.
-    return float(_pair_matrix(F, np.max).max())
+    return float(max((np.abs(d).max() for _, _, d in _wedge_chunks(F)), default=0.0))
 
 
 def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
@@ -180,9 +180,9 @@ def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> f
 
 def _route_d(G: np.ndarray) -> float:
     # rho~ - rho~^Gamma has the entries G[a,b] G[c,d] - G[c,b] G[a,d]: the
-    # wedge coefficients of the column pairs (b, d) of G. Pairs b = d vanish
-    # and (b, d), (d, b) contribute equally.
-    return float(2.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T)))
+    # 2x2 minors of G, here summed with the column pairs (b, d) as the rows
+    # of G^T. Pairs b = d or a = c vanish and swaps keep |entry|, hence 4.
+    return float(4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T)))
 
 
 def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:

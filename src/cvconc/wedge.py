@@ -1,6 +1,6 @@
 """Wedge product on discretized function spaces, the extended Lagrange
-identity, and `_wedge_chunks`, the one kernel forming the wedge coefficients
-of row pairs for routes A and D, the measure family and the Lambda gap."""
+identity, and `_wedge_chunks`, the one kernel forming each 2x2 minor of a matrix
+once, for routes A and D, the family, the Lambda gap and the identity's check."""
 
 from __future__ import annotations
 
@@ -10,37 +10,77 @@ import numpy as np
 
 from .errors import InputError
 
-# Complex elements of the kernel's two reused chunk buffers together (512 KiB)
-# unless one row pair needs more. On one BLAS thread twice this was slower on
-# 8^3 states, and half of it slowed route A at 64^2 by about 10 %.
-_CHUNK_BUDGET = 32_768
+# Complex elements of the kernel's three chunk buffers together (768 KiB) unless
+# one offset needs more. Routes A + D, one BLAS thread: 1.75 ms on 32^2, 50 ms on
+# 324 x 18 (2.36, 58 ms at 32768); 65536 slowed 10 x 100 from 2.0 to 3.2 ms.
+_CHUNK_BUDGET = 49_152
+_LONG_RUN = 1024  # minors an offset's row pairs need to go as slices
+
+
+def _pairs(n: int, start: int, stop: int):
+    """Index arrays (i, j), i < j < n, of the pairs numbered start..stop-1 row
+    by row, without the other pairs: row i starts at number i (2n - 1 - i) / 2."""
+    i = np.arange(n - 1)
+    first = i * (2 * n - 1 - i) // 2
+    p = np.arange(start, stop)
+    i = np.searchsorted(first, p, side="right") - 1
+    return i, p - first[i] + i + 1
+
+
+def _minors(buf, X, Y, a, b, n):
+    """X[a] Y[b] - Y[a] X[b] for n row pairs in buf[0]; a, b: slices or gathered indices
+    (take mode "clip", as "raise" buffers the output)."""
+    d, p, g = buf[:, :n * X.shape[1]].reshape(3, n, X.shape[1])
+    if isinstance(a, slice):
+        np.multiply(X[a], Y[b], out=d)
+        np.multiply(Y[a], X[b], out=p)
+    else:
+        np.multiply(X.take(a, 0, d, "clip"), Y.take(b, 0, g, "clip"), out=d)
+        np.multiply(Y.take(a, 0, p, "clip"), X.take(b, 0, g, "clip"), out=p)
+    d -= p
+    return d
 
 
 def _wedge_chunks(M: np.ndarray):
-    """Yield (rows_a, rows_b, D) over the row pairs a < b of M, chunk by chunk:
-    D[p, x, y] = M[a,x] M[b,y] - M[a,y] M[b,x] for a, b = rows_a[p], rows_b[p].
-    D is a buffer the next chunk overwrites; reduce it before the next."""
+    """Yield (a, b, D), D[p, k] = M[a_p, x_k] M[b_p, y_k] - M[a_p, y_k] M[b_p, x_k]:
+    every 2x2 minor of M (rows a < b, columns x < y) once, in column-pair blocks
+    X = M[:, x], Y = M[:, y]. Row pairs (a, a + s) of one offset s are the slices
+    X[:-s], Y[s:] while many; the far offsets go as gathered index arrays. A row
+    pair meets its column pairs x < y row by row, the Bivector order. D is a
+    buffer the next chunk overwrites; reduce it before the next."""
+    M = np.asarray(M, dtype=complex)  # the gathers write into complex buffers
     rows, cols = M.shape
-    rows_a, rows_b = np.triu_indices(rows, k=1)
-    pairs = max(1, min(rows_a.size, _CHUNK_BUDGET // (2 * cols * cols)))
-    D = np.empty((pairs, cols, cols), dtype=complex)
-    P = np.empty_like(D)
-    for p0 in range(0, rows_a.size, pairs):
-        a, b = rows_a[p0:p0 + pairs], rows_b[p0:p0 + pairs]
-        Ma, Mb = M[a], M[b]
-        d, p = D[:a.size], P[:a.size]
-        np.multiply(Ma[:, :, None], Mb[:, None, :], out=d)
-        np.multiply(Mb[:, :, None], Ma[:, None, :], out=p)
-        d -= p
-        yield a, b, d
+    ncp = cols * (cols - 1) // 2
+    if rows < 2 or ncp == 0:
+        return
+    size = max(_CHUNK_BUDGET // 3, rows - 1)
+    # Equal blocks, each small enough that the offset-1 slice fills one buffer.
+    blocks = -(-ncp // (size // (rows - 1)))
+    width = -(-ncp // blocks)
+    buf = np.empty((3, min(size, rows * (rows - 1) // 2 * width)), dtype=complex)
+    idx = np.arange(rows)
+    for c0 in range(0, ncp, width):
+        x, y = _pairs(cols, c0, min(c0 + width, ncp))
+        X, Y = np.take(M, x, axis=1), np.take(M, y, axis=1)
+        # Offsets below near have at least _LONG_RUN / x.size row pairs.
+        near = max(1, rows + 1 - -(-_LONG_RUN // x.size))
+        for s in range(1, near):
+            yield idx[:-s], idx[s:], _minors(buf, X, Y, slice(-s), slice(s, None), rows - s)
+        # The offsets s >= near: pairs a < b' of rows - near + 1, b = b' + near - 1.
+        far = (rows - near + 1) * (rows - near) // 2
+        for q0 in range(0, far, size // x.size):
+            a, b = _pairs(rows - near + 1, q0, min(q0 + size // x.size, far))
+            b += near - 1
+            yield a, b, _minors(buf, X, Y, a, b, a.size)
 
 
-def _pair_matrix(M: np.ndarray, reduce) -> np.ndarray:
-    """Symmetric matrix of reduce(|D|) (np.sum or np.max) per row pair of M."""
+def _pair_matrix(M: np.ndarray, ufunc) -> np.ndarray:
+    """Symmetric matrix of ufunc.reduce(|D|) (np.add or np.maximum) over the
+    column pairs x < y, per row pair of M, combined across column blocks."""
     out = np.zeros((M.shape[0], M.shape[0]))
     for a, b, d in _wedge_chunks(M):
-        out[a, b] = out[b, a] = reduce(np.abs(d), axis=(1, 2))
-    return out
+        out[a, b] = ufunc(out[a, b], ufunc.reduce(np.abs(d), axis=1))
+    return out + out.T
 
 
 @dataclass(frozen=True)
@@ -64,10 +104,6 @@ class Bivector:
             raise InputError("coefficient and pair-weight arrays must cover the j > i triangle")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "pair_weights", pw)
-
-    @property
-    def pair_indices(self):
-        return np.triu_indices(self.size, k=1)
 
 
 def _as_vectors(f, g, weights):
@@ -111,6 +147,7 @@ def lagrange_identity_gap(f, g, weights) -> float:
     ng = float(np.sum(np.abs(g) ** 2 * w))
     ip = complex(np.sum(f * np.conj(g) * w))
     lhs = nf * ng - abs(ip) ** 2
-    i, j = np.triu_indices(f.size, k=1)
-    rhs = float(np.sum(np.abs(f[i] * g[j] - f[j] * g[i]) ** 2 * w[i] * w[j]))
+    # The one row pair of [f; g] sqrt(w) has the minors (f_i g_j - f_j g_i) sqrt(w_i w_j).
+    rows = np.stack([f, g]) * np.sqrt(w)
+    rhs = float(sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(rows)))
     return lhs - rhs

@@ -170,6 +170,19 @@ def test_cmd_concurrence_routes_checked_before_loading(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize("routes", ["", ",", " , "])
+def test_cmd_concurrence_empty_route_list(tmp_path, capsys, monkeypatch, routes):
+    # No route to run is an input error, raised before the state is loaded.
+    loads = []
+    monkeypatch.setattr(cv.serialization, "load_state", lambda *a: loads.append(a))
+    path = gaussian_file(tmp_path, 0.0)
+    assert main(["concurrence", path, "--M", "0", "--routes", routes]) == 1
+    captured = capsys.readouterr()
+    assert "no route given" in captured.err
+    assert captured.out == ""
+    assert loads == []
+
+
 def test_cmd_concurrence_non_finite_input(tmp_path, capsys):
     payload = {
         "axes": [{"min": -2.0, "max": 2.0, "points": 8}] * 2,

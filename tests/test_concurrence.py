@@ -290,7 +290,8 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     G, _, _ = cv.states.block_matrix(state, bp)
     rows, cols = G.T.shape if columns else G.shape
     npairs = rows * (rows - 1) // 2
-    budget = 2 * cols * cols * (npairs // 3 + 1)
+    ncolpairs = cols * (cols - 1) // 2
+    budget = 3 * ncolpairs * (npairs // 3 + 1)
     monkeypatch.setattr(wedge, "_CHUNK_BUDGET", budget)
     chunk_sizes = []
     original = wedge._wedge_chunks
@@ -308,6 +309,6 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     monkeypatch.undo()
     assert len(chunk_sizes) >= 3
     assert chunk_sizes[-1] < chunk_sizes[0]
-    assert 2 * max(chunk_sizes) <= budget
-    assert sum(chunk_sizes) == npairs * cols * cols
+    assert 3 * max(chunk_sizes) <= budget
+    assert sum(chunk_sizes) == npairs * ncolpairs
     assert abs(value - oracle(state, bp)) < 1e-12

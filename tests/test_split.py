@@ -129,6 +129,29 @@ def test_each_consumer_runs_the_wedge_loop_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_route_a_passes_one_positional_matrix(tmp_path, capsys, monkeypatch):
+    # bench/tracer.py counts route A's quadruples from args[0].shape of
+    # _wedge_sum_and_max, so every caller hands it G alone, positionally.
+    state = random_grid_state(np.random.default_rng(43))
+    path = tmp_path / "rand.json"
+    save_grid_state(state, path)
+    seen = []
+    original = conc._wedge_sum_and_max
+
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(conc, "_wedge_sum_and_max", recording)
+    cv.concurrence_report(state, BP)
+    assert main(["concurrence", str(path), "--M", "0", "--routes", "A"]) == 0
+    cv.run_verification(state, BP)
+    assert len(seen) == 3
+    for args, kwargs in seen:
+        assert kwargs == {} and len(args) == 1
+        assert type(args[0]) is np.ndarray and args[0].ndim == 2
+
+
 def test_gaussian_numeric_on_the_midpoint_rule_is_the_grid_report():
     spec = GaussianPureState(np.array([[1.0, 0.4 + 0.3j], [0.4 + 0.3j, 1.5]]))
     axes = [GridAxis(-5.0, 5.0, 24), GridAxis(-4.0, 4.0, 20)]

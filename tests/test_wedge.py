@@ -1,6 +1,8 @@
 """Wedge product coefficients, weighted bivector norms, the extended
-Lagrange identity, and the memory bound of the chunked wedge kernel."""
+Lagrange identity, and the minors and memory bound of the chunked wedge
+kernel."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,12 +13,15 @@ from cvconc import (
     GridAxis,
     GridState,
     bivector_p_norm,
+    concurrence_route_A,
     concurrence_route_D,
     family_measure,
     lagrange_identity_gap,
     lambda_invariance_gap,
     wedge,
 )
+from cvconc import concurrence as cv_concurrence
+from cvconc import transpose as cv_transpose
 from cvconc.errors import InputError
 
 
@@ -150,3 +155,116 @@ def test_wedge_consumers_hold_a_bounded_chunk(consumer):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+KERNEL = sys.modules["cvconc.wedge"]  # cvconc.wedge is also the wedge function
+
+
+@pytest.mark.parametrize("long_run", [1, 20, 1024])
+@pytest.mark.parametrize("budget", [2, 16, 60, 32_768])
+def test_kernel_forms_every_minor_once(monkeypatch, budget, long_run):
+    # Integer entries make every minor exact: each row pair a < b must meet
+    # each column pair x < y once, with its value, in the order x < y.
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(KERNEL, "_LONG_RUN", long_run)
+    rng = np.random.default_rng(6)
+    M = rng.integers(-9, 10, size=(5, 7)) + 1j * rng.integers(-9, 10, size=(5, 7))
+    expected = {
+        (a, b): [M[a, x] * M[b, y] - M[a, y] * M[b, x] for x in range(7) for y in range(x + 1, 7)]
+        for a in range(5) for b in range(a + 1, 5)
+    }
+    got = {pair: [] for pair in expected}
+    for a, b, d in KERNEL._wedge_chunks(M):
+        assert d.size <= max(budget // 3, 4)
+        for pair, row in zip(zip(a.tolist(), b.tolist()), d):
+            got[pair].extend(row.tolist())
+    assert got == expected
+
+
+def test_kernel_takes_real_matrices(monkeypatch):
+    # Real input goes through the same complex buffers, gathered path included.
+    monkeypatch.setattr(KERNEL, "_LONG_RUN", 10**6)
+    M = np.arange(35.0).reshape(5, 7) ** 1.5
+    real = [d.copy() for _, _, d in KERNEL._wedge_chunks(M)]
+    cast = [d.copy() for _, _, d in KERNEL._wedge_chunks(M.astype(complex))]
+    assert len(real) == len(cast) and all(np.array_equal(r, c) for r, c in zip(real, cast))
+
+
+@pytest.mark.parametrize("budget", [16, 60, 32_768])
+def test_pair_matrix_combines_column_blocks(monkeypatch, budget):
+    # Small budgets split the 21 column pairs into blocks whose reductions
+    # must add (np.add) or take the larger (np.maximum) per row pair.
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    mags = np.zeros((5, 5, 21))
+    for a in range(5):
+        for b in range(5):
+            mags[a, b] = [abs(M[a, x] * M[b, y] - M[a, y] * M[b, x])
+                          for x in range(7) for y in range(x + 1, 7)]
+    assert np.allclose(KERNEL._pair_matrix(M, np.add), mags.sum(axis=2), rtol=1e-13, atol=0.0)
+    assert np.allclose(KERNEL._pair_matrix(M, np.maximum), mags.max(axis=2), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
+def test_kernel_without_minors_gives_zero(shape):
+    rng = np.random.default_rng(8)
+    G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert cv_concurrence._wedge_sum_and_max(G) == 0.0
+    assert cv_transpose._route_d(G) == 0.0
+    assert cv_transpose._lambda_gap(G) == 0.0
+    for ufunc in (np.add, np.maximum):
+        pairs = KERNEL._pair_matrix(G, ufunc)
+        assert pairs.shape == (shape[0], shape[0]) and not pairs.any()
+
+
+def test_kernel_on_two_by_two_is_the_determinant():
+    G = np.array([[1.0 + 2.0j, -3.0], [0.5j, 4.0 - 1.0j]])
+    det = abs(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
+    assert abs(cv_concurrence._wedge_sum_and_max(G) - 4.0 * det**2) < 1e-12
+    assert abs(cv_transpose._route_d(G) - 4.0 * det**2) < 1e-12
+    for ufunc in (np.add, np.maximum):
+        pairs = KERNEL._pair_matrix(G, ufunc)
+        assert np.allclose(pairs, [[0.0, det], [det, 0.0]], rtol=1e-14, atol=0.0)
+
+
+def _grid_state(shape, seed):
+    rng = np.random.default_rng(seed)
+    axes = tuple(GridAxis(-4.0, 4.0, n) for n in shape)
+    return GridState.from_amplitudes(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("consumer", ["route_A", "route_D", "family_p1", "family_pinf"])
+@pytest.mark.parametrize("shape", [(4, 4096), (4096, 4)])
+def test_wedge_kernel_memory_is_bounded_for_any_shape(shape, consumer):
+    # 4 x 4096 has 8.4e6 column pairs, 4096 x 4 as many row pairs; the kernel
+    # holds its buffers and one block of pair indices, O(budget + rows + cols).
+    # The family's member x member integrand is its own gm^2, so its member
+    # block is the 4-point axis in both cases.
+    state = _grid_state(shape, 9)
+    first = Bipartition(2, (0,))
+    short = Bipartition(2, (int(np.argmin(shape)),))
+    run = {
+        "route_A": lambda: concurrence_route_A(state, first),
+        "route_D": lambda: concurrence_route_D(state, first),
+        "family_p1": lambda: family_measure(state, short, "identity", 1, 1),
+        "family_pinf": lambda: family_measure(state, short, "identity", np.inf, 1),
+    }[consumer]
+    assert _traced_peak(run) < 4 * 2**20
+
+
+def test_lagrange_gap_memory_is_bounded():
+    rng = np.random.default_rng(10)
+    f = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    g = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    w = rng.uniform(0.5, 1.5, size=4096)
+    assert _traced_peak(lambda: lagrange_identity_gap(f, g, w)) < 4 * 2**20
