@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("concurrence", help="multi-route concurrence report for a state file")
     c.add_argument("state")
     c.add_argument("--M", required=True, help="comma-separated member axis indices")
-    c.add_argument("--routes", default="A,B,C,Lambda")
+    c.add_argument("--routes", default="B,C,Lambda")
     c.add_argument("--grid", type=int, default=64, help="points per axis for Gaussian input")
     c.add_argument("--box", type=float, default=8.0, help="half-width of the Gaussian grid")
 
@@ -116,6 +116,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_concurrence(args) -> int:
     from . import concurrence as conc
+    from .spectral import _entropy
     from .states import split
 
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
@@ -126,10 +127,18 @@ def cmd_concurrence(args) -> int:
             raise ValueError(f"unknown route {name!r}")
     state, bipartition = _load_grid(args)
     sp = split(state, bipartition)
-    out, gap = conc._route_values(sp, wanted)
+    # The answer comes from the one SVD; the routes cross-check it.
+    weights = conc._schmidt_weights(sp.G)
+    out, _ = conc._route_values(sp, wanted)
+    e2 = 2.0 * (1.0 - float(weights @ weights))
+    spread = [*out.values(), e2]
+    gap = max(spread) - min(spread)
     out.update(
+        E2=e2,
+        entropy=_entropy(weights),
+        schmidt_rank=conc._schmidt_rank(weights, conc.DEFAULT_THRESHOLD),
         max_pairwise_gap=gap,
-        verdict=conc._verdict(sp.G, conc.DEFAULT_THRESHOLD),
+        verdict=conc._verdict(weights, conc.DEFAULT_THRESHOLD),
         mass_defect=state.diagnostics.get("mass_defect", 0.0),
     )
     print(json.dumps(out))

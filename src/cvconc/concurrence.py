@@ -10,7 +10,8 @@ import numpy as np
 from . import spectral, transpose
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
-from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
+from .states import (Bipartition, GaussianPureState, GridState, Split, _blocks, _gram, _sample,
+                     split)
 from .wedge import _pair_matrix, _wedge_chunks
 
 DEFAULT_THRESHOLD = 1e-8
@@ -28,21 +29,17 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
 
 
 def _route_b_from_matrix(G: np.ndarray) -> float:
-    K = np.einsum("ax,bx->ab", G, G.conj())
-    return 2.0 * (1.0 - float(np.sum(np.abs(K) ** 2)))
+    # 2 [1 - ||K||_F^2] on the smaller Gram matrix K.
+    K = _gram(G)
+    return 2.0 * (1.0 - float(np.vdot(K, K).real))
 
 
 def _route_lambda_from_matrix(G: np.ndarray) -> float:
-    # Doubled-grid overlap <Phi, Phi o Lambda> accumulated one member-row at
-    # a time; the member-block swap turns the doubled index (a,b,c,d) into
-    # (c,b,a,d).
-    Gc = G.conj()
-    inner = 0.0 + 0.0j
-    for a in range(G.shape[0]):
-        m1 = Gc * G[a][None, :]   # m1[c, b] = G[a, b] * conj(G[c, b])
-        m2 = G * Gc[a][None, :]   # m2[c, d] = G[c, d] * conj(G[a, d])
-        inner += complex(np.sum(m1.sum(axis=1) * m2.sum(axis=1)))
-    return 2.0 * (1.0 - inner.real)
+    # Doubled-grid overlap <Phi, Phi o Lambda>: the member-block swap turns
+    # the doubled index (a,b,c,d) into (c,b,a,d), so the overlap is
+    # sum_ac K[a,c] K[c,a], the same sum on either side's Gram matrix.
+    K = _gram(G)
+    return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
 
 
 # Every route: name -> (output key, function of a Split). Route A looks
@@ -159,16 +156,24 @@ class SeparabilityCertificate:
         return out
 
 
-def _verdict(G: np.ndarray, threshold: float) -> str:
-    """Schmidt-rank test on the weighted block matrix G.
+def _schmidt_weights(G: np.ndarray) -> np.ndarray:
+    """Schmidt weights sigma_i^2 of the weighted block matrix G, descending."""
+    return np.linalg.svd(G, compute_uv=False) ** 2
+
+
+def _schmidt_rank(weights: np.ndarray, threshold: float) -> int:
+    return int(np.count_nonzero(weights > threshold))
+
+
+def _verdict(weights: np.ndarray, threshold: float) -> str:
+    """Schmidt-rank test on the Schmidt weights of G.
 
     Every wedge coefficient vanishes exactly when G has Schmidt rank 1, so the
     state is entangled exactly when the second Schmidt weight sigma_2^2
-    exceeds the threshold. sigma_2^2 does not depend on the grid once the grid
-    resolves the state.
+    exceeds the threshold, that is when the rank above it is at least 2.
+    sigma_2^2 does not depend on the grid once the grid resolves the state.
     """
-    sigma = np.linalg.svd(G, compute_uv=False)
-    return "entangled" if float(sigma[1]) ** 2 > threshold else "separable"
+    return "entangled" if _schmidt_rank(weights, threshold) >= 2 else "separable"
 
 
 def _witness_quadruple(G: np.ndarray):
@@ -206,7 +211,7 @@ def decide_separability(
     rest_axes = tuple(state.axes[k] for k in bipartition.complement)
     m_shape = tuple(ax.points for ax in member_axes)
     r_shape = tuple(ax.points for ax in rest_axes)
-    if _verdict(sp.G, threshold) == "entangled":
+    if _verdict(_schmidt_weights(sp.G), threshold) == "entangled":
         (a, b, x, y), magnitude_sq = _witness_quadruple(sp.G)
         witness = EntanglementWitness(
             slice_pair=(
@@ -274,7 +279,7 @@ def _report(sp: Split, threshold, mass_defect=0.0) -> ConcurrenceReport:
     return ConcurrenceReport(
         **values,
         max_pairwise_gap=gap,
-        verdict=_verdict(sp.G, threshold),
+        verdict=_verdict(_schmidt_weights(sp.G), threshold),
         threshold=threshold,
         mass_defect=mass_defect,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .states import Bipartition, GridState, Split, split
+from .states import Bipartition, GridState, Split, _gram, split
 from .transpose import DiscreteOperator, _route_d
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -16,7 +16,7 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    """Reduced density operator of the member block in sqrt-weight convention."""
+    """Reduced density operator of one block in sqrt-weight convention."""
 
     operator: DiscreteOperator
     bipartition: Bipartition
@@ -35,12 +35,15 @@ class ReducedDensity:
 
 
 def _reduce(sp: Split) -> ReducedDensity:
-    return ReducedDensity(DiscreteOperator(sp.G @ sp.G.conj().T), sp.bipartition)
+    """The reduced density of the smaller block: the member block's purity and
+    nonzero spectrum at an edge of min(gm, gmbar)."""
+    return ReducedDensity(DiscreteOperator(_gram(sp.G)), sp.bipartition)
 
 
 def reduce(state: GridState, bipartition: Bipartition) -> ReducedDensity:
     """Trace out the complement block: kernel sum_k phi(x, k) phi*(x', k) w_k."""
-    return _reduce(split(state, bipartition))
+    G = split(state, bipartition).G
+    return ReducedDensity(DiscreteOperator(G @ G.conj().T), bipartition)
 
 
 def purity(rd: ReducedDensity) -> float:
@@ -68,11 +71,15 @@ def eigenvalues(rd: ReducedDensity) -> np.ndarray:
     return eigs
 
 
+def _entropy(weights: np.ndarray) -> float:
+    """-sum w ln w over the weights above the floor, so no zero reaches log."""
+    w = weights[weights > ENTROPY_EIGENVALUE_FLOOR]
+    return float(-np.sum(w * np.log(w)))
+
+
 def von_neumann_entropy(rd: ReducedDensity) -> float:
     """S = -sum lambda ln lambda over eigenvalues above the floor (natural log)."""
-    eigs = eigenvalues(rd)
-    eigs = eigs[eigs > ENTROPY_EIGENVALUE_FLOOR]
-    return float(-np.sum(eigs * np.log(eigs)))
+    return _entropy(eigenvalues(rd))
 
 
 def one_minus_rho_moment(rd: ReducedDensity, k: int) -> float:

@@ -292,3 +292,11 @@ class Split:
 def split(state: GridState, bipartition: Bipartition) -> Split:
     """The prepared split of a grid state (one call of block_matrix)."""
     return Split.from_blocks(bipartition, *block_matrix(state, bipartition, weighted=False))
+
+
+def _gram(G: np.ndarray) -> np.ndarray:
+    """K = M M^H for M the side of G with fewer rows (G, or G^T): the reduced
+    density of the smaller block, conjugated when that is the complement, with
+    the nonzero spectrum sigma_i^2 of both blocks."""
+    M = G if G.shape[0] <= G.shape[1] else G.T
+    return M @ M.conj().T

@@ -57,17 +57,6 @@ class LambdaPermutation:
             out[..., self.n + i] = X[..., i]
         return out
 
-    def apply_index_pair(self, idx1, idx2):
-        """Same swap on a pair of per-axis integer index tuples."""
-        idx1 = tuple(idx1)
-        idx2 = tuple(idx2)
-        if len(idx1) != self.n or len(idx2) != self.n:
-            raise InputError(f"index tuples must have length {self.n}")
-        members = set(self.bipartition.members)
-        out1 = tuple(idx2[k] if k in members else idx1[k] for k in range(self.n))
-        out2 = tuple(idx1[k] if k in members else idx2[k] for k in range(self.n))
-        return out1, out2
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:

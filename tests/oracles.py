@@ -148,3 +148,32 @@ def wigner_numeric(gaussian, x, p, points=96):
     for wi in rule.weights:
         w = np.multiply.outer(w, wi)
     return complex(np.sum(vals * w)) / np.pi**n
+
+
+def overlap_route_einsum(G):
+    """Route B as the full member-side overlap kernel: 2 [1 - ||G G^H||_F^2],
+    the gm x gm kernel formed whole by einsum."""
+    K = np.einsum("ax,bx->ab", G, G.conj())
+    return 2.0 * (1.0 - float(np.sum(np.abs(K) ** 2)))
+
+
+def lambda_route_rows(G):
+    """Route Lambda as the doubled-grid overlap <Phi, Phi o Lambda>
+    accumulated one member row at a time; the member-block swap turns the
+    doubled index (a,b,c,d) into (c,b,a,d)."""
+    Gc = G.conj()
+    inner = 0.0 + 0.0j
+    for a in range(G.shape[0]):
+        m1 = Gc * G[a][None, :]   # m1[c, b] = G[a, b] * conj(G[c, b])
+        m2 = G * Gc[a][None, :]   # m2[c, d] = G[c, d] * conj(G[a, d])
+        inner += complex(np.sum(m1.sum(axis=1) * m2.sum(axis=1)))
+    return 2.0 * (1.0 - inner.real)
+
+
+def schmidt_e2(state, bipartition):
+    """2 [1 - sum sigma_i^4] from the singular values of the weighted,
+    normalized member x complement matrix."""
+    F, wm, wr = _split(state, bipartition)
+    G = F * np.sqrt(np.outer(wm, wr))
+    sigma = np.linalg.svd(G / np.linalg.norm(G), compute_uv=False)
+    return 2.0 * (1.0 - float(np.sum(sigma**4)))

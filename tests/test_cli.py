@@ -21,6 +21,7 @@ from cvconc.serialization import (
     save_grid_state,
 )
 
+import oracles
 from conftest import random_grid_state, random_product_state
 
 
@@ -123,11 +124,90 @@ def test_cmd_concurrence_product_state(tmp_path, capsys):
     state = random_product_state(np.random.default_rng(5))
     path = tmp_path / "prod.json"
     save_grid_state(state, path)
-    assert main(["concurrence", str(path), "--M", "0"]) == 0
+    assert main(["concurrence", str(path), "--M", "0", "--routes", "A,B,C,Lambda"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "separable"
     for key in ("route_A_wedge", "route_B_overlap", "route_C_purity", "route_Lambda"):
         assert abs(out[key]) < 1e-10
+
+
+DEFAULT_CONCURRENCE_KEYS = {
+    "route_B_overlap", "route_C_purity", "route_Lambda", "E2", "entropy", "schmidt_rank",
+    "max_pairwise_gap", "verdict", "mass_defect",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def default_concurrence(capsys, path, members, state):
+    """The default `cvconc concurrence` output, parsed with NaN and Infinity
+    refused, after checking E2 against route B and the SVD oracle."""
+    assert main(["concurrence", str(path), "--M", members]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert set(out) == DEFAULT_CONCURRENCE_KEYS
+    bipartition = Bipartition.parse(members, state.n)
+    assert abs(out["E2"] - out["route_B_overlap"]) < 1e-12
+    assert abs(out["E2"] - oracles.schmidt_e2(state, bipartition)) < 1e-12
+    assert (out["verdict"] == "entangled") == (out["schmidt_rank"] >= 2)
+    return out
+
+
+def one_node_state():
+    # All amplitude on one node: the Schmidt weights are 1 and exact zeros,
+    # which must not reach the logarithm of the entropy.
+    amp = np.zeros((6, 5), dtype=complex)
+    amp[2, 3] = 1.0
+    return GridState.from_amplitudes((GridAxis(-3.0, 3.0, 6), GridAxis(-3.0, 3.0, 5)), amp)
+
+
+@pytest.mark.parametrize("make", [lambda: random_product_state(np.random.default_rng(5)),
+                                  one_node_state], ids=["random", "one_node"])
+def test_cmd_concurrence_default_output_product_state(tmp_path, capsys, make):
+    state = make()
+    path = tmp_path / "prod.json"
+    save_grid_state(state, path)
+    out = default_concurrence(capsys, path, "0", state)
+    assert abs(out["entropy"]) < 1e-12
+    assert out["schmidt_rank"] == 1
+    assert out["verdict"] == "separable"
+
+
+def test_cmd_concurrence_default_output_weakly_entangled_gaussian(tmp_path, capsys):
+    # a = b = 1, c = 0.01: E^2 is about 2.5e-5, sigma_2^2 about 6e-6.
+    path = gaussian_file(tmp_path, 0.01)
+    state = cv.discretize(load_state(path), [GridAxis(-8.0, 8.0, 64)] * 2)
+    out = default_concurrence(capsys, path, "0", state)
+    assert out["verdict"] == "entangled"
+    assert out["schmidt_rank"] >= 2
+    assert out["entropy"] > 0.0
+
+
+@pytest.mark.parametrize("members", ["0", "0,2"])
+def test_cmd_concurrence_default_output_three_modes(tmp_path, capsys, members):
+    rng = np.random.default_rng(29)
+    axes = (GridAxis(-8.0, 8.0, 16),) * 3
+    state = GridState.from_amplitudes(axes, rng.normal(size=(16,) * 3)
+                                      + 1j * rng.normal(size=(16,) * 3))
+    path = tmp_path / "tri.json"
+    save_grid_state(state, path)
+    out = default_concurrence(capsys, path, members, state)
+    assert out["schmidt_rank"] == 16
+
+
+@pytest.mark.parametrize("members", ["0", "1"])
+def test_cmd_concurrence_default_output_thin_splits(tmp_path, capsys, members):
+    # An axis has at least two points, so 2 x 64 and 64 x 2 are the thinnest
+    # splits a state file can give.
+    rng = np.random.default_rng(31)
+    axes = (GridAxis(-2.0, 2.0, 2), GridAxis(-4.0, 4.0, 64))
+    state = GridState.from_amplitudes(axes, rng.normal(size=(2, 64))
+                                      + 1j * rng.normal(size=(2, 64)))
+    path = tmp_path / "thin.json"
+    save_grid_state(state, path)
+    out = default_concurrence(capsys, path, members, state)
+    assert out["schmidt_rank"] == 2
 
 
 def test_cmd_concurrence_gaussian_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ separability decisions, checked against brute-force loop oracles and the
 two-mode Gaussian closed forms."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,3 +313,67 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     assert 3 * max(chunk_sizes) <= budget
     assert sum(chunk_sizes) == npairs * ncolpairs
     assert abs(value - oracle(state, bp)) < 1e-12
+
+
+# Routes B, C and Lambda on the smaller Gram matrix against the member-side
+# einsum overlap and the row-by-row doubled-grid overlap of tests/oracles.py.
+GRAM_ROUTES = ("B", "C", "Lambda")
+
+
+def _gram_route_errors(sp):
+    overlap, lam = oracles.overlap_route_einsum(sp.G), oracles.lambda_route_rows(sp.G)
+    expected = {"B": overlap, "C": overlap, "Lambda": lam}
+    return {name: abs(cv.concurrence.ROUTES[name][1](sp) - expected[name])
+            for name in GRAM_ROUTES}
+
+
+def _random_split(shape, seed):
+    # Random amplitudes and positive weights on a member x complement block.
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    wm, wrest = rng.uniform(0.1, 1.0, shape[0]), rng.uniform(0.1, 1.0, shape[1])
+    return cv.states.Split.from_blocks(BP, F, wm, wrest)
+
+
+@pytest.mark.parametrize("shape, members", [
+    ((8, 8), (0,)), ((8, 8), (1,)), ((12, 12), (0,)), ((12, 12), (1,)),
+    ((16, 16), (0,)), ((16, 16), (1,)),
+    ((6, 6, 6), (0,)), ((6, 6, 6), (0, 2)), ((7, 7, 7), (0,)), ((7, 7, 7), (0, 2)),
+    ((8, 8, 8), (0,)), ((8, 8, 8), (0, 2)),
+])
+def test_gram_routes_match_oracles_on_corpus_shapes(shape, members):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    box = 6.0 if len(shape) == 2 else 4.0
+    axes = tuple(GridAxis(-box, box, p) for p in shape)
+    state = GridState.from_amplitudes(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    errors = _gram_route_errors(cv.split(state, Bipartition(len(shape), members)))
+    assert max(errors.values()) < 1e-14, errors
+
+
+@pytest.mark.parametrize("shape", [(4096, 16), (16, 4096), (1, 50), (50, 1)])
+def test_gram_routes_match_oracles_on_lopsided_splits(shape):
+    errors = _gram_route_errors(_random_split(shape, sum(shape)))
+    assert max(errors.values()) < 1e-14, errors
+
+
+def test_gram_routes_memory_on_the_smaller_side():
+    # The member side of 4096 x 16 would hold a 4096^2 Gram matrix (256 MiB);
+    # the smaller side needs a 16^2 one and a conjugated copy of G (1 MiB).
+    sp = _random_split((4096, 16), 7)
+    for name in GRAM_ROUTES:
+        tracemalloc.start()
+        try:
+            cv.concurrence.ROUTES[name][1](sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (name, peak)
+
+
+@pytest.mark.parametrize("shape", [(1, 50), (50, 1), (2, 50)])
+def test_verdict_from_the_schmidt_weights_of_thin_splits(shape):
+    # One row or column has one Schmidt weight: separable, where sigma_2 is absent.
+    weights = cv.concurrence._schmidt_weights(_random_split(shape, 3).G)
+    assert abs(weights.sum() - 1.0) < 1e-12
+    expected = "entangled" if min(shape) > 1 else "separable"
+    assert cv.concurrence._verdict(weights, cv.concurrence.DEFAULT_THRESHOLD) == expected

@@ -1,8 +1,6 @@
 """Block-swap permutation, partial-transpose operators, routes D and E,
 PPT spectra, and Wigner-function checks."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -59,15 +57,6 @@ def test_lambda_apply_swaps_member_components():
     assert np.array_equal(out, [3.0, 1.0, 5.0, 0.0, 4.0, 2.0])
     assert np.array_equal(lam.apply(out), X)
     assert np.array_equal(lam.apply(X), lam.matrix @ X)
-
-
-def test_lambda_index_involution_exhaustive():
-    # Applying the index swap twice returns every doubled-grid index pair.
-    lam = LambdaPermutation(BP)
-    for idx1 in itertools.product(range(4), repeat=2):
-        for idx2 in itertools.product(range(4), repeat=2):
-            once = lam.apply_index_pair(idx1, idx2)
-            assert lam.apply_index_pair(*once) == (idx1, idx2)
 
 
 def test_lambda_invariance_gap_product_state():

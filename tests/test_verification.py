@@ -2,14 +2,22 @@
 
 import numpy as np
 
+import pytest
+
 from cvconc import (
     Bipartition,
     GaussianPureState,
     GridAxis,
+    GridState,
     concurrence_route_B,
     discretize,
+    purity,
+    reduce,
     run_verification,
+    spectral,
+    split,
     transpose,
+    von_neumann_entropy,
 )
 from cvconc.verification import ENTANGLED_E2, SEPARABLE_E2, VerificationReport
 
@@ -67,3 +75,33 @@ def test_ppt_minimum_solved_only_when_reported(monkeypatch):
     report = run_verification(state, BP)
     assert report.overall
     assert not any(c["name"].startswith("ppt_") for c in report.checks)
+
+
+def lopsided_state(shape, seed):
+    rng = np.random.default_rng(seed)
+    axes = tuple(GridAxis(-4.0, 4.0, p) for p in shape)
+    return GridState.from_amplitudes(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("shape", [(48, 6), (6, 48)])
+def test_verify_solves_the_eigenproblem_of_the_smaller_block(monkeypatch, shape):
+    edges = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        edges.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    report = run_verification(lopsided_state(shape, 109), BP)
+    assert report.overall
+    assert edges and set(edges) == {min(shape)}
+
+
+@pytest.mark.parametrize("shape", [(2048, 16), (16, 2048)])
+def test_smaller_block_entropy_and_purity_match_the_member_block(shape):
+    state = lopsided_state(shape, 113)
+    member, smaller = reduce(state, BP), spectral._reduce(split(state, BP))
+    assert smaller.matrix.shape == (16, 16)
+    assert abs(purity(smaller) - purity(member)) < 1e-12
+    assert abs(von_neumann_entropy(smaller) - von_neumann_entropy(member)) < 1e-12
