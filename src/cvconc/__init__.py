@@ -64,7 +64,6 @@ from .states import (
     Split,
     discretize,
     evaluate_gaussian,
-    evaluate_grid,
     split,
 )
 from .transpose import (
@@ -82,6 +81,6 @@ from .transpose import (
     wigner_pt_fourth_moment_concurrence,
 )
 from .verification import VerificationReport, run_verification
-from .wedge import Bivector, bivector_p_norm, lagrange_identity_gap, wedge
+from .wedge import lagrange_identity_gap
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import (Bipartition, GaussianPureState, GridState, Split, _blocks, _gram, _sample,
                      split)
-from .wedge import _pair_matrix, _wedge_chunks
+from .wedge import _pair_matrix, _pairs, _wedge_chunks
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -143,18 +143,6 @@ class SeparabilityCertificate:
     factor_rest: GridState = None
     reconstruction_error: float = None
 
-    def to_dict(self) -> dict:
-        out = {"verdict": self.verdict, "threshold": self.threshold}
-        if self.witness is not None:
-            out["witness"] = {
-                "slice_pair": [list(t) for t in self.witness.slice_pair],
-                "basis_pair": [list(t) for t in self.witness.basis_pair],
-                "magnitude_sq": self.witness.magnitude_sq,
-            }
-        if self.reconstruction_error is not None:
-            out["reconstruction_error"] = self.reconstruction_error
-        return out
-
 
 def _schmidt_weights(G: np.ndarray) -> np.ndarray:
     """Schmidt weights sigma_i^2 of the weighted block matrix G, descending."""
@@ -178,20 +166,28 @@ def _verdict(weights: np.ndarray, threshold: float) -> str:
 
 def _witness_quadruple(G: np.ndarray):
     """A grid quadruple (a, b, x, y) with a large wedge coefficient and its
-    weighted |coefficient|^2, found in O(gm gmbar + gmbar^2).
+    weighted |coefficient|^2, found in O(gm gmbar + gmbar^2) time and the
+    wedge kernel's memory.
 
     a is the row of largest norm; b maximizes the wedge norm
-    |G_a|^2 |G_b|^2 - |<G_a, G_b>|^2 (Lagrange identity); (x, y) is the
-    largest entry of |G_a (x) G_b - G_b (x) G_a|^2.
+    |G_a|^2 |G_b|^2 - |<G_a, G_b>|^2 (Lagrange identity); (x, y), x < y, is the
+    first largest |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 in the kernel's row-major
+    walk over the column pairs of [G_a; G_b].
     """
     norms = np.sum(np.abs(G) ** 2, axis=1)
     a = int(np.argmax(norms))
     overlaps = G @ G[a].conj()
     b = int(np.argmax(norms[a] * norms - np.abs(overlaps) ** 2))
-    T = np.outer(G[a], G[b])
-    mag = np.abs(T - T.T) ** 2
-    x, y = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    return (a, b, int(x), int(y)), float(mag[x, y])
+    best, k, start = -1.0, 0, 0
+    # One row pair, so each chunk is one block of consecutive column pairs.
+    for _, _, d in _wedge_chunks(G[[a, b]]):
+        mag = np.abs(d[0]) ** 2
+        j = int(np.argmax(mag))
+        if mag[j] > best:
+            best, k = float(mag[j]), start + j
+        start += mag.size
+    x, y = _pairs(G.shape[1], k, k + 1)
+    return (a, b, int(x[0]), int(y[0])), best
 
 
 def decide_separability(
@@ -262,16 +258,6 @@ class ConcurrenceReport:
 
     def values(self) -> dict:
         return {ROUTES[name][0]: getattr(self, ROUTES[name][0]) for name in REPORT_ROUTES}
-
-    def to_dict(self) -> dict:
-        out = self.values()
-        out.update(
-            max_pairwise_gap=self.max_pairwise_gap,
-            verdict=self.verdict,
-            threshold=self.threshold,
-            mass_defect=self.mass_defect,
-        )
-        return out
 
 
 def _report(sp: Split, threshold, mass_defect=0.0) -> ConcurrenceReport:

@@ -64,17 +64,19 @@ def concurrence_route_C(state: GridState, bipartition: Bipartition) -> float:
 
 
 def eigenvalues(rd: ReducedDensity) -> np.ndarray:
-    """Ascending real spectrum of the hermitized reduced density."""
-    eigs = np.linalg.eigvalsh(rd.operator.hermitized())
+    """Ascending real spectrum of the reduced density, read from one triangle:
+    ReducedDensity holds the Hermiticity residual within 1e-12."""
+    eigs = np.linalg.eigvalsh(rd.matrix)
     if eigs[0] < -1e-8:
         raise NumericError(f"reduced density eigenvalue {eigs[0]:.3g} < -1e-8")
     return eigs
 
 
 def _entropy(weights: np.ndarray) -> float:
-    """-sum w ln w over the weights above the floor, so no zero reaches log."""
+    """-sum w ln w over the weights above the floor, so no zero reaches log;
+    at least +0.0, as a weight that rounds above 1 gives -0.0 or -4e-16."""
     w = weights[weights > ENTROPY_EIGENVALUE_FLOOR]
-    return float(-np.sum(w * np.log(w)))
+    return max(0.0, float(-np.sum(w * np.log(w))))
 
 
 def von_neumann_entropy(rd: ReducedDensity) -> float:

@@ -116,17 +116,6 @@ class GridState:
         return cls(axes, amp / np.sqrt(mass), diagnostics or {})
 
 
-def evaluate_grid(state: GridState, index) -> complex:
-    """Amplitude at the node addressed by an integer index tuple."""
-    index = tuple(int(i) for i in index)
-    if len(index) != state.n:
-        raise InputError(f"index has {len(index)} entries for a {state.n}-axis state")
-    for k, (i, ax) in enumerate(zip(index, state.axes)):
-        if not 0 <= i < ax.points:
-            raise InputError(f"index {i} out of range for axis {k} with {ax.points} points")
-    return complex(state.amplitudes[index])
-
-
 @dataclass(frozen=True)
 class GaussianPureState:
     """Pure Gaussian wavefunction N * exp(-x^T A x / 2) with complex symmetric

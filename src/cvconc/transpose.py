@@ -79,9 +79,6 @@ class DiscreteOperator:
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / 2.0
 
-    def hermitized(self) -> np.ndarray:
-        return (self.matrix + self.matrix.conj().T) / 2.0
-
 
 def _check_operator_size(gm: int, gmbar: int):
     if gm * gmbar > _MAX_OPERATOR_DIM:

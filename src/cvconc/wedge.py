@@ -1,10 +1,8 @@
-"""Wedge product on discretized function spaces, the extended Lagrange
-identity, and `_wedge_chunks`, the one kernel forming each 2x2 minor of a matrix
-once, for routes A and D, the family, the Lambda gap and the identity's check."""
+"""Wedge coefficients on discretized function spaces: `_wedge_chunks`, the one
+kernel forming each 2x2 minor of a matrix once, for routes A and D, the family,
+the Lambda gap, the witness and the extended Lagrange identity's check."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +44,8 @@ def _wedge_chunks(M: np.ndarray):
     every 2x2 minor of M (rows a < b, columns x < y) once, in column-pair blocks
     X = M[:, x], Y = M[:, y]. Row pairs (a, a + s) of one offset s are the slices
     X[:-s], Y[s:] while many; the far offsets go as gathered index arrays. A row
-    pair meets its column pairs x < y row by row, the Bivector order. D is a
-    buffer the next chunk overwrites; reduce it before the next."""
+    pair meets its column pairs x < y in row-major order, numbered as in _pairs.
+    D is a buffer the next chunk overwrites; reduce it before the next."""
     M = np.asarray(M, dtype=complex)  # the gathers write into complex buffers
     rows, cols = M.shape
     ncp = cols * (cols - 1) // 2
@@ -83,30 +81,11 @@ def _pair_matrix(M: np.ndarray, ufunc) -> np.ndarray:
     return out + out.T
 
 
-@dataclass(frozen=True)
-class Bivector:
-    """Antisymmetric grade-2 coefficients over strictly ordered index pairs.
+def lagrange_identity_gap(f, g, weights) -> float:
+    """LHS minus RHS of the weighted Lagrange identity (zero in exact arithmetic).
 
-    Only pairs (i, j) with j > i in the linear order are stored; the diagonal
-    vanishes identically and swapped pairs follow by sign flip. pair_weights
-    holds the product w_i * w_j of the constituent quadrature weights.
+    LHS = ||f||^2 ||g||^2 - |<f, g>|^2, RHS = sum_{j>i} |f_i g_j - f_j g_i|^2 w_i w_j.
     """
-
-    size: int
-    coefficients: np.ndarray
-    pair_weights: np.ndarray
-
-    def __post_init__(self):
-        npairs = self.size * (self.size - 1) // 2
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        pw = np.asarray(self.pair_weights, dtype=float)
-        if coeffs.shape != (npairs,) or pw.shape != (npairs,):
-            raise InputError("coefficient and pair-weight arrays must cover the j > i triangle")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "pair_weights", pw)
-
-
-def _as_vectors(f, g, weights):
     f = np.asarray(f, dtype=np.complex128).reshape(-1)
     g = np.asarray(g, dtype=np.complex128).reshape(-1)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -114,35 +93,6 @@ def _as_vectors(f, g, weights):
         raise InputError("vectors and weights must have equal length")
     if np.any(w <= 0.0):
         raise InputError("weights must be strictly positive")
-    return f, g, w
-
-
-def wedge(f, g, weights) -> Bivector:
-    """Coefficients f_i g_j - f_j g_i over ordered pairs j > i."""
-    f, g, w = _as_vectors(f, g, weights)
-    i, j = np.triu_indices(f.size, k=1)
-    coeffs = f[i] * g[j] - f[j] * g[i]
-    return Bivector(size=f.size, coefficients=coeffs, pair_weights=w[i] * w[j])
-
-
-def bivector_p_norm(b: Bivector, p) -> float:
-    """Weighted p-norm over ordered pairs; p = inf is the plain coefficient max."""
-    mag = np.abs(b.coefficients)
-    if p == 1:
-        return float(np.sum(mag * b.pair_weights))
-    if p == 2:
-        return float(np.sqrt(np.sum(mag**2 * b.pair_weights)))
-    if p == np.inf or p == "inf":
-        return float(mag.max(initial=0.0))
-    raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
-
-
-def lagrange_identity_gap(f, g, weights) -> float:
-    """LHS minus RHS of the weighted Lagrange identity (zero in exact arithmetic).
-
-    LHS = ||f||^2 ||g||^2 - |<f, g>|^2, RHS = sum_{j>i} |f_i g_j - f_j g_i|^2 w_i w_j.
-    """
-    f, g, w = _as_vectors(f, g, weights)
     nf = float(np.sum(np.abs(f) ** 2 * w))
     ng = float(np.sum(np.abs(g) ** 2 * w))
     ip = complex(np.sum(f * np.conj(g) * w))

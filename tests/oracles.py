@@ -177,3 +177,18 @@ def schmidt_e2(state, bipartition):
     G = F * np.sqrt(np.outer(wm, wr))
     sigma = np.linalg.svd(G / np.linalg.norm(G), compute_uv=False)
     return 2.0 * (1.0 - float(np.sum(sigma**4)))
+
+
+def witness_quadruple_dense(G):
+    """The witness search over the whole gmbar x gmbar matrix of wedge
+    magnitudes |T - T^T|^2, T = G_a (x) G_b: a is the row of largest norm, b
+    the row of largest wedge norm with it, and (x, y) the first largest entry
+    in row-major order, which lies above the diagonal."""
+    norms = np.sum(np.abs(G) ** 2, axis=1)
+    a = int(np.argmax(norms))
+    overlaps = G @ G[a].conj()
+    b = int(np.argmax(norms[a] * norms - np.abs(overlaps) ** 2))
+    T = np.outer(G[a], G[b])
+    mag = np.abs(T - T.T) ** 2
+    x, y = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return (a, b, int(x), int(y)), float(mag[x, y])

@@ -1,6 +1,7 @@
 """Command-line interface, file formats, and exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,18 @@ def test_cmd_concurrence_default_output_product_state(tmp_path, capsys, make):
     assert abs(out["entropy"]) < 1e-12
     assert out["schmidt_rank"] == 1
     assert out["verdict"] == "separable"
+
+
+def test_cmd_concurrence_entropy_of_product_states_is_never_negative(tmp_path, capsys):
+    # On most of these states the largest Schmidt weight rounds above 1, which
+    # makes -sum w ln w come out as -0.0 or -4e-16 unless it is clamped.
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "prod.json"
+    for _ in range(40):
+        save_grid_state(random_product_state(rng), path)
+        assert main(["concurrence", str(path), "--M", "0"]) == 0
+        entropy = json.loads(capsys.readouterr().out)["entropy"]
+        assert entropy >= 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_cmd_concurrence_default_output_weakly_entangled_gaussian(tmp_path, capsys):

@@ -266,6 +266,69 @@ def test_verdict_stable_under_grid_refinement():
     assert cert.witness.magnitude_sq > 0.0
 
 
+# The witness search against the dense |T - T^T|^2 search of tests/oracles.py:
+# the lib-corpus block shapes, 2 x n and n x 2, and integer matrices whose
+# largest magnitude is tied across many column pairs, some in later blocks.
+WITNESS_SHAPES = [(8, 8), (12, 12), (16, 16), (6, 36), (36, 6), (7, 49), (49, 7),
+                  (8, 64), (64, 8), (2, 2), (2, 9), (2, 300), (9, 2), (300, 2)]
+
+
+def _assert_witness_is_the_dense_one(G):
+    # The kernel and numpy's outer product may round a product differently
+    # (fused or not), so the magnitude matches to round-off.
+    quad, mag = cv.concurrence._witness_quadruple(G)
+    dense_quad, dense_mag = oracles.witness_quadruple_dense(G)
+    assert quad == dense_quad
+    assert abs(mag - dense_mag) <= 1e-14 * dense_mag
+    return mag
+
+
+@pytest.mark.parametrize("budget", [None, 30])
+@pytest.mark.parametrize("shape", WITNESS_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_witness_matches_the_dense_search(monkeypatch, shape, budget):
+    if budget is not None:
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _assert_witness_is_the_dense_one(G / np.linalg.norm(G))
+
+
+@pytest.mark.parametrize("budget", [None, 30])
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_ties_resolve_as_the_dense_search(monkeypatch, seed, budget):
+    # Two rows of -1, 0, 1 and a smaller third: every minor is an exact
+    # integer, and the largest |D|^2 recurs over many column pairs.
+    if budget is not None:
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(-1, 2, size=(3, 40)).astype(complex)
+    G[2] *= 0.25
+    mag = _assert_witness_is_the_dense_one(G)
+    T = np.outer(G[0], G[1])
+    assert np.count_nonzero(np.abs(T - T.T) ** 2 == mag) >= 4
+
+
+def test_witness_memory_on_a_long_complement():
+    # 8 x 4096: a dense search holds 4096^2 magnitudes (641 MiB traced); one
+    # pass of the kernel over the two witness rows holds its chunk buffers.
+    rng = np.random.default_rng(17)
+    axes = (GridAxis(-4.0, 4.0, 8), GridAxis(-4.0, 4.0, 4096))
+    state = GridState.from_amplitudes(axes, rng.normal(size=(8, 4096))
+                                      + 1j * rng.normal(size=(8, 4096)))
+    tracemalloc.start()
+    try:
+        cert = decide_separability(state, BP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "entangled"
+    assert peak < 8 * 2**20, peak
+    ((a,), (b,)), ((x,), (y,)) = cert.witness.slice_pair, cert.witness.basis_pair
+    G = cv.split(state, BP).G
+    d = G[a, x] * G[b, y] - G[a, y] * G[b, x]
+    assert x < y and abs(abs(d) ** 2 - cert.witness.magnitude_sq) < 1e-14 * abs(d) ** 2
+
+
 # Every consumer of the wedge kernel: (function of the state, plain-loop
 # oracle, whether the kernel runs over the columns of the block matrix).
 WEDGE_CONSUMERS = {
@@ -284,7 +347,7 @@ WEDGE_CONSUMERS = {
 def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     # A 5 x 4 x 6 state split 5 | 24 (gm << gmbar) and 24 | 5 (gm >> gmbar),
     # with the budget set so that several chunks run and the last is partial.
-    wedge = sys.modules["cvconc.wedge"]  # cvconc.wedge is also the wedge function
+    wedge = sys.modules["cvconc.wedge"]
     func, oracle, columns = WEDGE_CONSUMERS[consumer]
     state = small_random_state(101, shape=(5, 4, 6))
     bp = Bipartition(3, members)

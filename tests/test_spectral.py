@@ -1,5 +1,7 @@
 """Reduced densities, purity, entropy, and the Hilbert-Schmidt identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ def test_route_C_matches_route_A(corpus):
 def test_entropy_pure_reduction():
     state = random_product_state(np.random.default_rng(5))
     assert von_neumann_entropy(reduce(state, BP)) < 1e-9
+
+
+def test_entropy_of_product_states_is_never_negative():
+    # On most of these states the largest eigenvalue rounds above 1, which
+    # makes -sum w ln w come out as -0.0 or -4e-16 unless it is clamped.
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        entropy = von_neumann_entropy(reduce(random_product_state(rng), BP))
+        assert entropy >= 0.0 and math.copysign(1.0, entropy) == 1.0
+
+
+def test_spectrum_reads_one_triangle_of_the_reduced_density(corpus):
+    for state in corpus[:25]:
+        rd = reduce(state, BP)
+        hermitized = (rd.matrix + rd.matrix.conj().T) / 2.0
+        assert np.max(np.abs(eigenvalues(rd) - np.linalg.eigvalsh(hermitized))) < 1e-12
 
 
 def test_entropy_bell_state(bell_state):

@@ -12,11 +12,8 @@ from cvconc import (
     GridState,
     discretize,
     evaluate_gaussian,
-    evaluate_grid,
 )
 from cvconc.errors import InputError, StateValidityError, TruncationWarning
-
-from conftest import random_grid_state
 
 
 def test_axis_nodes_and_weights():
@@ -64,7 +61,7 @@ def test_grid_state_shape_mismatch():
         GridState(axes, np.ones(5))
 
 
-def test_evaluate_grid_single_point_mass():
+def test_amplitudes_single_point_mass():
     # All probability at one node: normalization forces 1/sqrt(d1 d2).
     ax1 = GridAxis(0.0, 1.0, 2)
     ax2 = GridAxis(0.0, 2.0, 4)
@@ -72,27 +69,19 @@ def test_evaluate_grid_single_point_mass():
     amp[1, 2] = 1.0
     state = GridState.from_amplitudes((ax1, ax2), amp)
     expected = 1.0 / np.sqrt(ax1.delta * ax2.delta)
-    assert abs(evaluate_grid(state, (1, 2)) - expected) < 1e-12
-    assert evaluate_grid(state, (0, 0)) == 0.0
+    assert abs(state.amplitudes[1, 2] - expected) < 1e-12
+    assert state.amplitudes[0, 0] == 0.0
 
 
-def test_evaluate_grid_product_layout():
+def test_amplitudes_product_layout():
     rng = np.random.default_rng(5)
     f = rng.normal(size=4) + 1j * rng.normal(size=4)
     g = rng.normal(size=6) + 1j * rng.normal(size=6)
     axes = (GridAxis(-1.0, 1.0, 4), GridAxis(-1.0, 1.0, 6))
     state = GridState.from_amplitudes(axes, np.outer(f, g))
-    scale = evaluate_grid(state, (0, 0)) / (f[0] * g[0])
+    scale = state.amplitudes[0, 0] / (f[0] * g[0])
     for i, j in [(1, 2), (3, 5), (2, 0)]:
-        assert abs(evaluate_grid(state, (i, j)) - scale * f[i] * g[j]) < 1e-12
-
-
-def test_evaluate_grid_index_errors():
-    state = random_grid_state(np.random.default_rng(0))
-    with pytest.raises(InputError):
-        evaluate_grid(state, (0,))
-    with pytest.raises(InputError):
-        evaluate_grid(state, (state.axes[0].points, 0))
+        assert abs(state.amplitudes[i, j] - scale * f[i] * g[j]) < 1e-12
 
 
 def test_evaluate_gaussian_origin_values():
@@ -134,7 +123,7 @@ def test_discretize_node_at_origin():
     state = GaussianPureState(np.eye(2, dtype=complex))
     grid = discretize(state, [GridAxis(-6.0, 6.0, 65)] * 2)
     assert abs(grid.axes[0].nodes[32]) < 1e-12
-    assert abs(evaluate_grid(grid, (32, 32)) - np.pi**-0.5) < 1e-9
+    assert abs(grid.amplitudes[32, 32] - np.pi**-0.5) < 1e-9
 
 
 def test_discretize_mass_defect_small():
@@ -179,7 +168,7 @@ def test_discretize_matches_pointwise_evaluation():
     for i in (0, 5, 11):
         for j in (2, 9, 15):
             exact = evaluate_gaussian(state, [nodes[i], nodes[j]])
-            ratio = evaluate_grid(grid, (i, j)) / exact
+            ratio = grid.amplitudes[i, j] / exact
             if scale is None:
                 scale = ratio
             assert abs(ratio - scale) < 1e-12

@@ -1,24 +1,21 @@
-"""Wedge product coefficients, weighted bivector norms, the extended
-Lagrange identity, and the minors and memory bound of the chunked wedge
-kernel."""
+"""Wedge coefficients and their weighted norms, the extended Lagrange
+identity, and the minors and memory bound of the chunked wedge kernel."""
 
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cvconc.wedge as KERNEL
 from cvconc import (
     Bipartition,
     GridAxis,
     GridState,
-    bivector_p_norm,
     concurrence_route_A,
     concurrence_route_D,
     family_measure,
     lagrange_identity_gap,
     lambda_invariance_gap,
-    wedge,
 )
 from cvconc import concurrence as cv_concurrence
 from cvconc import transpose as cv_transpose
@@ -32,27 +29,43 @@ def _weighted_norms(f, g, w):
     return nf, ng, ip
 
 
+def _wedge(f, g):
+    """The coefficients f_x g_y - f_y g_x, x < y, in pair order: the one row
+    pair of the kernel on the 2-row matrix [f; g]."""
+    return np.concatenate([d[0].copy() for _, _, d in KERNEL._wedge_chunks(np.stack([f, g]))])
+
+
+def _norms(f, g, w):
+    """Weighted 1-, 2- and inf-norms of the wedge of f and g as the package
+    forms them: _pair_matrix on the rows f w, g w (family p = 1) and on f, g
+    (p = inf, unweighted), and the kernel's sum of |D|^2 on the rows f sqrt(w),
+    g sqrt(w) (the Lagrange check)."""
+    F = np.stack([np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)])
+    w = np.asarray(w, dtype=float)
+    one = KERNEL._pair_matrix(F * w, np.add)[0, 1]
+    two = np.sqrt(sum(np.vdot(d, d).real for _, _, d in KERNEL._wedge_chunks(F * np.sqrt(w))))
+    inf = KERNEL._pair_matrix(F, np.maximum)[0, 1]
+    return {1: one, 2: two, np.inf: inf}
+
+
 def test_wedge_of_parallel_vectors_vanishes():
     rng = np.random.default_rng(0)
     f = rng.normal(size=12) + 1j * rng.normal(size=12)
     k = 0.7 - 1.3j
-    b = wedge(f, k * f, np.ones(12))
-    assert np.max(np.abs(b.coefficients)) < 1e-14
+    assert np.max(np.abs(_wedge(f, k * f))) < 1e-14
 
 
 def test_wedge_basis_case():
-    b = wedge([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
-    assert b.coefficients.shape == (1,)
-    assert abs(b.coefficients[0] - 1.0) < 1e-15
-    assert abs(b.pair_weights[0] - 1.0) < 1e-15
+    coefficients = _wedge([1.0, 0.0], [0.0, 1.0])
+    assert coefficients.shape == (1,)
+    assert abs(coefficients[0] - 1.0) < 1e-15
 
 
 def test_wedge_antisymmetry():
     rng = np.random.default_rng(1)
     f = rng.normal(size=9) + 1j * rng.normal(size=9)
     g = rng.normal(size=9) + 1j * rng.normal(size=9)
-    w = rng.uniform(0.5, 2.0, size=9)
-    assert np.allclose(wedge(f, g, w).coefficients, -wedge(g, f, w).coefficients)
+    assert np.allclose(_wedge(f, g), -_wedge(g, f))
 
 
 def test_wedge_bilinearity_with_nilpotency():
@@ -60,41 +73,34 @@ def test_wedge_bilinearity_with_nilpotency():
     f = rng.normal(size=7) + 1j * rng.normal(size=7)
     g = rng.normal(size=7) + 1j * rng.normal(size=7)
     alpha, beta = 1.2 - 0.4j, -0.9 + 2.1j
-    w = np.ones(7)
-    left = wedge(f, alpha * f + beta * g, w).coefficients
-    right = beta * wedge(f, g, w).coefficients
+    left = _wedge(f, alpha * f + beta * g)
+    right = beta * _wedge(f, g)
     assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_wedge_length_mismatch():
     with pytest.raises(InputError):
-        wedge([1.0, 2.0], [1.0], [1.0, 1.0])
+        lagrange_identity_gap([1.0, 2.0], [1.0], [1.0, 1.0])
 
 
 def test_p_norm_zero_bivector():
-    b = wedge([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], np.ones(3))
+    norms = _norms([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], np.ones(3))
     for p in (1, 2, np.inf):
-        assert bivector_p_norm(b, p) < 1e-14
+        assert norms[p] < 1e-14
 
 
 def test_p_norm_single_coefficient():
-    b = wedge([3.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+    norms = _norms([3.0, 0.0], [0.0, 1.0], [1.0, 1.0])
     for p in (1, 2, np.inf):
-        assert abs(bivector_p_norm(b, p) - 3.0) < 1e-14
+        assert abs(norms[p] - 3.0) < 1e-14
 
 
 def test_p_norm_pythagorean():
     # Coefficients {3, 4} with unit weights: the 2-norm is 5.
-    b = wedge([1.0, 0.0, 0.0], [0.0, 3.0, 4.0], np.ones(3))
-    assert abs(bivector_p_norm(b, 2) - 5.0) < 1e-14
-    assert abs(bivector_p_norm(b, 1) - 7.0) < 1e-14
-    assert abs(bivector_p_norm(b, np.inf) - 4.0) < 1e-14
-
-
-def test_p_norm_unsupported_order():
-    b = wedge([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(InputError):
-        bivector_p_norm(b, 3)
+    norms = _norms([1.0, 0.0, 0.0], [0.0, 3.0, 4.0], np.ones(3))
+    assert abs(norms[2] - 5.0) < 1e-14
+    assert abs(norms[1] - 7.0) < 1e-14
+    assert abs(norms[np.inf] - 4.0) < 1e-14
 
 
 def test_two_norm_squared_is_cauchy_schwarz_defect():
@@ -106,7 +112,7 @@ def test_two_norm_squared_is_cauchy_schwarz_defect():
         w = rng.uniform(0.1, 2.0, size=size)
         nf, ng, ip = _weighted_norms(f, g, w)
         defect = nf * ng - abs(ip) ** 2
-        norm_sq = bivector_p_norm(wedge(f, g, w), 2) ** 2
+        norm_sq = _norms(f, g, w)[2] ** 2
         assert abs(norm_sq - defect) <= 1e-12 * nf * ng
 
 
@@ -155,9 +161,6 @@ def test_wedge_consumers_hold_a_bounded_chunk(consumer):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-
-
-KERNEL = sys.modules["cvconc.wedge"]  # cvconc.wedge is also the wedge function
 
 
 @pytest.mark.parametrize("long_run", [1, 20, 1024])
