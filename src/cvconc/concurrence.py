@@ -111,7 +111,7 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
     F, wm, wrest = sp.F, sp.wm, sp.wrest
     if p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
-        overlaps = np.einsum("ax,bx,x->ab", F, F.conj(), wrest)
+        overlaps = (F * wrest) @ F.conj().T
         norm_sq = np.maximum(np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2, 0.0)
         norms = np.sqrt(norm_sq)
     elif p == 1:
@@ -121,7 +121,7 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
         norms = _pair_matrix(F, np.maximum)
     else:
         raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
-    integral = float(np.einsum("ab,a,b->", func(norms), wm, wm))
+    integral = float(wm @ func(norms) @ wm)
     return integral ** (1.0 / q)
 
 

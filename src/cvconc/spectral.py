@@ -98,6 +98,8 @@ def _hs_gap(route_d: float, p: float) -> float:
 def hs_identity_gap(state: GridState, bipartition: Bipartition) -> float:
     """|route_D + 2 * purity - 2|: the Hilbert-Schmidt identity between the
     partial-transpose distance and the distance of rho_M to maximal mixing,
-    read in the infinite-dimensional limit where the latter reduces to purity."""
+    read in the infinite-dimensional limit where the latter reduces to purity.
+    Route D applies the partial transpose matrix-free and the purity comes from
+    the Gram matrix, so the identity ties the one to the other."""
     sp = split(state, bipartition)
     return _hs_gap(_route_d(sp.G), purity(_reduce(sp)))

@@ -165,10 +165,14 @@ def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> f
 
 
 def _route_d(G: np.ndarray) -> float:
-    # rho~ - rho~^Gamma has the entries G[a,b] G[c,d] - G[c,b] G[a,d]: the
-    # 2x2 minors of G, here summed with the column pairs (b, d) as the rows
-    # of G^T. Pairs b = d or a = c vanish and swaps keep |entry|, hence 4.
-    return float(4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T)))
+    # rho~[(a,b),(c,d)] = G[a,b] G[c,d] and rho~^Gamma[(a,b),(c,d)] = G[a,d] G[c,b]
+    # both have Frobenius norm ||G||_F^2, so the squared distance is
+    # 2 ||G||_F^4 - 2 Re <rho~, rho~^Gamma>, where <rho~, rho~^Gamma> is
+    # <G, rho~^Gamma conj(G)>. Not clamped at 0, so its round-off shows in the
+    # route spread.
+    norm_sq = np.vdot(G, G).real
+    overlap = np.vdot(G, _pt_matvec(G, G.conj(), G)).real
+    return float(2.0 * (norm_sq**2 - overlap))
 
 
 def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:

@@ -1,6 +1,6 @@
 """Wedge coefficients on discretized function spaces: `_wedge_chunks`, the one
-kernel forming each 2x2 minor of a matrix once, for routes A and D, the family,
-the Lambda gap, the witness and the extended Lagrange identity's check."""
+kernel forming each 2x2 minor of a matrix once, for route A, the family, the
+Lambda gap, the witness and the extended Lagrange identity's check."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import numpy as np
 from .errors import InputError
 
 # Complex elements of the kernel's three chunk buffers together (768 KiB) unless
-# one offset needs more. Routes A + D, one BLAS thread: 1.75 ms on 32^2, 50 ms on
-# 324 x 18 (2.36, 58 ms at 32768); 65536 slowed 10 x 100 from 2.0 to 3.2 ms.
+# one offset needs more. Two kernel passes (on G and G^T), one BLAS thread:
+# 1.75 ms on 32^2, 50 ms on 324 x 18 (2.36, 58 ms at 32768); 65536 slowed
+# 10 x 100 from 2.0 to 3.2 ms.
 _CHUNK_BUDGET = 49_152
 _LONG_RUN = 1024  # minors an offset's row pairs need to go as slices
 

@@ -38,6 +38,18 @@ def random_product_state(rng, n_axes=2):
     return GridState.from_amplitudes(tuple(axes), amp)
 
 
+def shaped_state(rng, shape, product=False):
+    """A normalized random complex state of the given shape on [-4, 4] per
+    axis; with product=True, the outer product of one random factor per axis."""
+    if product:
+        amp = 1.0
+        for n in shape:
+            amp = np.multiply.outer(amp, rng.normal(size=n) + 1j * rng.normal(size=n))
+    else:
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return GridState.from_amplitudes(tuple(GridAxis(-4.0, 4.0, n) for n in shape), amp)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """200 seeded random normalized two-axis states, 8 to 24 points per axis."""

@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used only by the tests.
 
 Everything here is written as plain loops over the defining sums and
-integrals, deliberately sharing no code with the package internals.
+integrals, deliberately sharing no code with the package internals, except
+`wigner_numeric`, which samples through the public Gaussian evaluator, and
+`route_d_kernel`, which sums through the wedge kernel that test_wedge.py
+checks minor by minor against a loop.
 """
 
 import numpy as np
@@ -192,3 +195,13 @@ def witness_quadruple_dense(G):
     mag = np.abs(T - T.T) ** 2
     x, y = np.unravel_index(int(np.argmax(mag)), mag.shape)
     return (a, b, int(x), int(y)), float(mag[x, y])
+
+
+def route_d_kernel(G):
+    """Route D as the sum of the squared entries of rho~ - rho~^Gamma,
+    G[a,b] G[c,d] - G[c,b] G[a,d]: the 2x2 minors of G, formed by the wedge
+    kernel with the column pairs (b, d) as the row pairs of G^T. Pairs with
+    b = d or a = c vanish and swaps keep |entry|, hence 4."""
+    from cvconc.wedge import _wedge_chunks
+
+    return 4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T))

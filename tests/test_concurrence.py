@@ -333,7 +333,6 @@ def test_witness_memory_on_a_long_complement():
 # oracle, whether the kernel runs over the columns of the block matrix).
 WEDGE_CONSUMERS = {
     "A": (concurrence_route_A, oracles.direct_concurrence, False),
-    "D": (cv.concurrence_route_D, oracles.direct_concurrence, True),
     "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, False),
     "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
                   lambda s, bp: oracles.family_p_norm(s, bp, 1), False),

@@ -25,7 +25,7 @@ from cvconc import (
 from cvconc.errors import InputError
 
 import oracles
-from conftest import random_grid_state, random_product_state
+from conftest import random_grid_state, random_product_state, shaped_state
 
 BP = Bipartition(2, (0,))
 
@@ -136,6 +136,30 @@ def test_route_D_bell_brute_force(bell_state):
     oracle = float(np.sum(np.abs(tilde - tilde_pt) ** 2))
     assert abs(oracle - 1.0) < 1e-12
     assert abs(concurrence_route_D(bell_state, BP) - oracle) < 1e-12
+
+
+# The lib-corpus splits: 8^2, 12^2 and 16^2 at {0}; 6^3, 7^3 and 8^3 at {0}
+# (gm x gm^2) and at {1, 2} (gm^2 x gm).
+LIB_CORPUS_SPLITS = [((n, n), (0,)) for n in (8, 12, 16)] + [
+    ((n, n, n), members) for n in (6, 7, 8) for members in ((0,), (1, 2))
+]
+
+
+@pytest.mark.parametrize("product", [False, True])
+@pytest.mark.parametrize("shape, members", LIB_CORPUS_SPLITS)
+def test_route_D_matches_kernel_oracle(shape, members, product):
+    state = shaped_state(np.random.default_rng(47), shape, product)
+    bp = Bipartition(len(shape), members)
+    expected = oracles.route_d_kernel(cv.split(state, bp).G)
+    assert abs(concurrence_route_D(state, bp) - expected) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2)])
+def test_route_D_matches_kernel_oracle_on_thin_blocks(shape):
+    rng = np.random.default_rng(53)
+    G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    G /= np.linalg.norm(G)
+    assert abs(cv.transpose._route_d(G) - oracles.route_d_kernel(G)) < 1e-14
 
 
 def test_pt_square_factorization_random():

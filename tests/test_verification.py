@@ -1,5 +1,8 @@
 """Aggregated identity verification reports."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 
 import pytest
@@ -21,7 +24,7 @@ from cvconc import (
 )
 from cvconc.verification import ENTANGLED_E2, SEPARABLE_E2, VerificationReport
 
-from conftest import random_grid_state, random_product_state
+from conftest import random_grid_state, random_product_state, shaped_state
 
 BP = Bipartition(2, (0,))
 
@@ -105,3 +108,52 @@ def test_smaller_block_entropy_and_purity_match_the_member_block(shape):
     assert smaller.matrix.shape == (16, 16)
     assert abs(purity(smaller) - purity(member)) < 1e-12
     assert abs(von_neumann_entropy(smaller) - von_neumann_entropy(member)) < 1e-12
+
+
+def _record_wedge_shapes(monkeypatch) -> list:
+    """Wrap _wedge_chunks in every cvconc module that holds it; the returned
+    list collects the shape of each matrix it is called on."""
+    shapes = []
+    original = sys.modules["cvconc.wedge"]._wedge_chunks
+
+    def recording(M):
+        shapes.append(np.shape(M))
+        return original(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cvconc" and vars(mod).get("_wedge_chunks") is original:
+            monkeypatch.setattr(mod, "_wedge_chunks", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("members", [(0,), (1, 2)])
+@pytest.mark.parametrize("product", [False, True])
+def test_verify_forms_the_minors_of_G_once(monkeypatch, members, product):
+    # Route A is the one pass over the minors of G; the Lagrange check runs
+    # the kernel on its two slices, and on a separable split the Lambda gap
+    # runs it on F, which has the shape of G.
+    state = shaped_state(np.random.default_rng(127), (4, 5, 6), product)
+    bp = Bipartition(3, members)
+    gm, gmbar = split(state, bp).G.shape
+    shapes = _record_wedge_shapes(monkeypatch)
+    report = run_verification(state, bp)
+    assert report.overall
+    assert Counter(shapes) == {(gm, gmbar): 2 if product else 1, (2, gmbar): 1}
+
+
+# Wrong partial-transpose actions: each changes rho~^Gamma conj(G), the one
+# matrix-free application route D reads, on complex states.
+WRONG_MATVECS = {
+    "conjugates V": lambda A, V, B: (A @ V.conj().swapaxes(-1, -2)) @ B,
+    "conjugates A": lambda A, V, B: (A.conj() @ V.swapaxes(-1, -2)) @ B,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(WRONG_MATVECS))
+def test_broken_pt_matvec_fails_route_agreement(monkeypatch, variant):
+    state = random_grid_state(np.random.default_rng(131))
+    assert run_verification(state, BP).overall
+    monkeypatch.setattr(transpose, "_pt_matvec", WRONG_MATVECS[variant])
+    checks = {c["name"]: c["passed"] for c in run_verification(state, BP).checks}
+    assert not checks["route_agreement"]
+    assert not checks["hs_identity"]
