@@ -19,6 +19,8 @@ EXIT_VERIFY = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .concurrence import DEFAULT_ROUTES
+
     parser = argparse.ArgumentParser(
         prog="cvconc",
         description="Generalized concurrence for pure continuous-variable states.",
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("concurrence", help="multi-route concurrence report for a state file")
     c.add_argument("state")
     c.add_argument("--M", required=True, help="comma-separated member axis indices")
-    c.add_argument("--routes", default="B,C,Lambda")
+    c.add_argument("--routes", default=",".join(DEFAULT_ROUTES))
     c.add_argument("--grid", type=int, default=64, help="points per axis for Gaussian input")
     c.add_argument("--box", type=float, default=8.0, help="half-width of the Gaussian grid")
 
@@ -102,6 +104,8 @@ def cmd_sweep(args) -> int:
 
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.all(np.isfinite([args.c_min, args.c_max])):
+        raise ValueError("--c-min and --c-max must be finite")
     if args.steps == 1:
         values = [args.c_min]
     else:
@@ -116,7 +120,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_concurrence(args) -> int:
     from . import concurrence as conc
-    from .spectral import _entropy
     from .states import split
 
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
@@ -126,23 +129,13 @@ def cmd_concurrence(args) -> int:
         if name not in conc.ROUTES:
             raise ValueError(f"unknown route {name!r}")
     state, bipartition = _load_grid(args)
-    sp = split(state, bipartition)
-    # The answer comes from the one SVD; the routes cross-check it.
-    weights = conc._schmidt_weights(sp.G)
-    out, _ = conc._route_values(sp, wanted)
-    e2 = 2.0 * (1.0 - float(weights @ weights))
-    spread = [*out.values(), e2]
-    gap = max(spread) - min(spread)
-    out.update(
-        E2=e2,
-        entropy=_entropy(weights),
-        schmidt_rank=conc._schmidt_rank(weights, conc.DEFAULT_THRESHOLD),
-        max_pairwise_gap=gap,
-        verdict=conc._verdict(weights, conc.DEFAULT_THRESHOLD),
-        mass_defect=state.diagnostics.get("mass_defect", 0.0),
-    )
+    report = conc._report(split(state, bipartition), conc.DEFAULT_THRESHOLD,
+                          state.diagnostics.get("mass_defect", 0.0), wanted)
+    # The route keys first, then the report's fields but the threshold.
+    out = {**report.routes, **vars(report)}
+    del out["routes"], out["threshold"]
     print(json.dumps(out))
-    if gap > 1e-6:
+    if report.max_pairwise_gap > 1e-6:
         print("route disagreement beyond 1e-6", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

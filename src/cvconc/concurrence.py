@@ -53,14 +53,8 @@ ROUTES = {
     "D": ("route_D_hilbert_schmidt", lambda sp: transpose._route_d(sp.G)),
     "E": ("route_E_pt_fourth", lambda sp: transpose._route_e(sp.G)),
 }
-REPORT_ROUTES = ("A", "B", "C", "Lambda")
-
-
-def _route_values(sp: Split, names) -> tuple:
-    """{output key: E^2} of the named routes, all on the one split, and the
-    largest pairwise gap between them (0 for none)."""
-    values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in names}
-    return values, max(values.values()) - min(values.values()) if values else 0.0
+# A report's cross-checks unless others are named: one Gram product each.
+DEFAULT_ROUTES = ("B", "C", "Lambda")
 
 
 def concurrence_route_A(state: GridState, bipartition: Bipartition) -> float:
@@ -112,8 +106,10 @@ def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float
     if p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
         overlaps = (F * wrest) @ F.conj().T
-        norm_sq = np.maximum(np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2, 0.0)
-        norms = np.sqrt(norm_sq)
+        norm_sq = np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2
+        # A slice's wedge with itself is 0; the diagonal holds only cancellation.
+        np.fill_diagonal(norm_sq, 0.0)
+        norms = np.sqrt(np.maximum(norm_sq, 0.0))
     elif p == 1:
         # Rows of F w_rest weight D by w_x w_y; the kernel sums the pairs y > x.
         norms = _pair_matrix(F * wrest, np.add)
@@ -245,27 +241,36 @@ def decide_separability(
 
 @dataclass(frozen=True)
 class ConcurrenceReport:
-    """Squared concurrence from every route plus agreement diagnostics."""
+    """E2 = 2 (1 - sum sigma_i^4), entropy, Schmidt rank and verdict from one SVD
+    of G; routes (output key -> E^2) cross-check it, and max_pairwise_gap spans
+    the routes and E2."""
 
-    route_A_wedge: float
-    route_B_overlap: float
-    route_C_purity: float
-    route_Lambda: float
+    E2: float
+    entropy: float
+    schmidt_rank: int
+    routes: dict
     max_pairwise_gap: float
     verdict: str
     threshold: float
     mass_defect: float = 0.0
 
     def values(self) -> dict:
-        return {ROUTES[name][0]: getattr(self, ROUTES[name][0]) for name in REPORT_ROUTES}
+        return {**self.routes, "E2": self.E2}
 
 
-def _report(sp: Split, threshold, mass_defect=0.0) -> ConcurrenceReport:
-    values, gap = _route_values(sp, REPORT_ROUTES)
+def _report(sp: Split, threshold, mass_defect=0.0, routes=DEFAULT_ROUTES) -> ConcurrenceReport:
+    """The answer from one SVD of the split, cross-checked by the named ROUTES."""
+    weights = _schmidt_weights(sp.G)
+    e2 = 2.0 * (1.0 - float(weights @ weights))
+    values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in routes}
+    spread = [*values.values(), e2]
     return ConcurrenceReport(
-        **values,
-        max_pairwise_gap=gap,
-        verdict=_verdict(_schmidt_weights(sp.G), threshold),
+        E2=e2,
+        entropy=spectral._entropy(weights),
+        schmidt_rank=_schmidt_rank(weights, threshold),
+        routes=values,
+        max_pairwise_gap=max(spread) - min(spread),
+        verdict=_verdict(weights, threshold),
         threshold=threshold,
         mass_defect=mass_defect,
     )
@@ -274,7 +279,7 @@ def _report(sp: Split, threshold, mass_defect=0.0) -> ConcurrenceReport:
 def concurrence_report(
     state: GridState, bipartition: Bipartition, threshold: float = DEFAULT_THRESHOLD
 ) -> ConcurrenceReport:
-    """All four routes on a grid state, with their pairwise agreement."""
+    """E2 from one SVD of the grid state, cross-checked by DEFAULT_ROUTES."""
     return _report(split(state, bipartition), threshold, state.diagnostics.get("mass_defect", 0.0))
 
 
@@ -284,8 +289,8 @@ def concurrence_gaussian_numeric(
     rule: ProductRule,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ConcurrenceReport:
-    """Evaluate a Gaussian pure state on a product rule and run every route;
-    on the midpoint rule of a grid this is the report of the discretized state."""
+    """Evaluate a Gaussian pure state on a product rule and report it; on the
+    midpoint rule of a grid this is the report of the discretized state."""
     amp, defect = _sample(state, rule)
     sp = Split.from_blocks(bipartition, *_blocks(amp, rule.weights, bipartition))
     return _report(sp, threshold, mass_defect=defect)

@@ -23,9 +23,11 @@ class TwoModeGaussianSpec:
     c: complex
 
     def __post_init__(self):
+        c = complex(self.c)
+        if not np.all(np.isfinite([self.a, self.b, c.real, c.imag, 4.0 * self.a * self.b])):
+            raise InputError("a, b, c and 4ab must be finite")
         if not (self.a > 0.0 and self.b > 0.0):
             raise InputError("a and b must be positive")
-        c = complex(self.c)
         if c.real != 0.0 and c.imag != 0.0:
             raise InputError(
                 "mixed-phase c is outside the closed-form family; "

@@ -57,9 +57,10 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     gap = lagrange_identity_gap(F[top[0]], F[top[1]], wrest) / scale
     report.add("lagrange_identity", gap, 1e-12)
 
-    routes, route_gap = conc._route_values(sp, conc.ROUTES)
-    report.add("route_agreement", route_gap, 1e-9)
-    e2 = routes["route_B_overlap"]
+    # E2 from one SVD, checked against all six routes.
+    answer = conc._report(sp, conc.DEFAULT_THRESHOLD, routes=conc.ROUTES)
+    report.add("route_agreement", answer.max_pairwise_gap, 1e-9)
+    e2 = answer.E2
 
     # The partial-transpose checks are matrix-free: Tr rho_PT = sum |G|^2 and
     # Tr rho_PT^2 = (sum |G|^2)^2.
@@ -69,7 +70,7 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     report.add("pt_square_factorization", transpose._pt_square_gap(sp.G), 1e-10)
 
     rd = spectral._reduce(sp)
-    hs_gap = spectral._hs_gap(routes["route_D_hilbert_schmidt"], spectral.purity(rd))
+    hs_gap = spectral._hs_gap(answer.routes[conc.ROUTES["D"][0]], spectral.purity(rd))
     report.add("hs_identity", hs_gap, 1e-10)
 
     entropy = spectral.von_neumann_entropy(rd)

@@ -9,9 +9,9 @@ import numpy as np
 from .errors import InputError
 
 # Complex elements of the kernel's three chunk buffers together (768 KiB) unless
-# one offset needs more. Two kernel passes (on G and G^T), one BLAS thread:
-# 1.75 ms on 32^2, 50 ms on 324 x 18 (2.36, 58 ms at 32768); 65536 slowed
-# 10 x 100 from 2.0 to 3.2 ms.
+# one offset needs more. Timed as two kernel passes, on G and on G^T, one BLAS
+# thread: 1.75 ms on 32^2, 50 ms on 324 x 18 (2.36, 58 ms at 32768); 65536
+# slowed 10 x 100 from 2.0 to 3.2 ms.
 _CHUNK_BUDGET = 49_152
 _LONG_RUN = 1024  # minors an offset's row pairs need to go as slices
 

@@ -56,8 +56,8 @@ def lambda_gap(state, bipartition):
 
 
 def family_p_norm(state, bipartition, p):
-    """Integral over slice pairs (a, b) of the weighted p-norm (p = 1 or inf)
-    of the wedge of F[a] and F[b] over ordered complement pairs y > x."""
+    """Integral over slice pairs (a, b) of the weighted p-norm (p = 1, 2 or
+    inf) of the wedge of F[a] and F[b] over ordered complement pairs y > x."""
     F, wm, wr = _split(state, bipartition)
     gm, gr = F.shape
     total = 0.0
@@ -67,8 +67,13 @@ def family_p_norm(state, bipartition, p):
             for x in range(gr):
                 for y in range(x + 1, gr):
                     d = abs(F[a, x] * F[b, y] - F[a, y] * F[b, x])
-                    norm = norm + d * wr[x] * wr[y] if p == 1 else max(norm, d)
-            total += norm * wm[a] * wm[b]
+                    if p == 1:
+                        norm += d * wr[x] * wr[y]
+                    elif p == 2:
+                        norm += d * d * wr[x] * wr[y]
+                    else:
+                        norm = max(norm, d)
+            total += (np.sqrt(norm) if p == 2 else norm) * wm[a] * wm[b]
     return total
 
 

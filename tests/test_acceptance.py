@@ -98,7 +98,7 @@ def test_criterion_3_grid_vs_closed_form():
     midpoint_err = abs(cv.concurrence_route_B(grid, BP) - E2_C1)
     rule = cv.gauss_hermite_rule(64, ndim=2)
     report = cv.concurrence_gaussian_numeric(spec, BP, rule)
-    hermite_err = abs(report.route_B_overlap - E2_C1)
+    hermite_err = abs(report.routes["route_B_overlap"] - E2_C1)
     elapsed = time.monotonic() - start
     ok = midpoint_err < 2e-3 and hermite_err < 1e-6 and elapsed < 10.0
     announce(

@@ -84,6 +84,36 @@ def test_cmd_gaussian_unphysical_exit_code(capsys):
     assert "normalizable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a", "inf", "--b", "1", "--c", "0"],
+    ["--a", "1", "--b", "nan", "--c", "0"],
+    ["--a", "1", "--b", "1", "--c", "inf", "--branch", "imag"],
+    ["--a", "1e200", "--b", "1e200", "--c", "0"],
+])
+def test_cmd_gaussian_rejects_non_finite_input(capsys, argv):
+    assert main(["gaussian", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--c-min", "nan", "--c-max", "1"],
+    ["--c-min", "0", "--c-max", "inf"],
+    ["--c-min=-inf", "--c-max", "0"],
+    ["--a", "inf", "--c-min", "0", "--c-max", "1"],
+])
+@pytest.mark.parametrize("steps", ["1", "5"])
+def test_cmd_sweep_rejects_non_finite_input(tmp_path, capsys, bounds, steps):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--a", "1", "--b", "1", "--steps", steps, "--out", str(out), *bounds]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists()
+
+
 def test_cmd_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--a", "1", "--b", "1", "--branch", "real",
@@ -297,8 +327,8 @@ def test_cmd_concurrence_non_finite_input(tmp_path, capsys):
 
 
 def test_cmd_concurrence_every_route_beyond_the_verify_cap(tmp_path, capsys):
-    # 70 x 70 = 4900 exceeds verify's dense-operator edge of 4096; no route
-    # builds a dense operator, so all six run.
+    # 70 x 70 = 4900 exceeds the dense-operator cap of 4096 that only
+    # build_rho_pt keeps; no route builds a dense operator, so all six run.
     rng = np.random.default_rng(53)
     axes = (GridAxis(-4.0, 4.0, 70),) * 2
     amp = rng.normal(size=(70, 70)) + 1j * rng.normal(size=(70, 70))

@@ -26,7 +26,7 @@ from cvconc import (
 from cvconc.errors import DegenerateStateError, InputError
 
 import oracles
-from conftest import random_grid_state, random_product_state
+from conftest import random_grid_state, random_product_state, shaped_state
 
 BP = Bipartition(2, (0,))
 E2_C1 = 2.0 - np.sqrt(3.0)
@@ -121,6 +121,16 @@ def test_family_measure_faithful_on_separable():
         assert family_measure(state, BP, f, p, 2) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (6, 6, 6), (8, 8, 8)])
+def test_family_p2_matches_the_slice_pair_sum(shape):
+    # A slice has no wedge with itself; the square root of the Lagrange form's
+    # cancellation round-off on that diagonal would read about 1e-8 per slice.
+    state = shaped_state(np.random.default_rng(sum(shape)), shape)
+    bp = Bipartition(len(shape), (0,))
+    expected = oracles.family_p_norm(state, bp, 2)
+    assert abs(family_measure(state, bp, "identity", 2, 1) - expected) < 1e-14 * expected
+
+
 def test_family_measure_positive_on_entangled():
     state = gaussian_grid(1.0, points=24)
     assert family_measure(state, BP, ("power", 2.0), 1, 2) > 0.0
@@ -209,7 +219,7 @@ def test_gaussian_numeric_wide_ridge():
     rule = midpoint_rule([GridAxis(-10.0, 10.0, 96)] * 2)
     report = concurrence_gaussian_numeric(spec, BP, rule)
     expected = 2.0 * (1.0 - np.sqrt(4.0 - 3.61) / 2.0)
-    assert abs(report.route_B_overlap - expected) < 5e-3
+    assert abs(report.routes["route_B_overlap"] - expected) < 5e-3
 
 
 def test_report_range_and_symmetry(corpus):
@@ -218,7 +228,7 @@ def test_report_range_and_symmetry(corpus):
         for value in report.values().values():
             assert -1e-9 <= value <= 2.0 + 1e-9
         flipped = cv.concurrence_route_C(state, Bipartition(2, (1,)))
-        assert abs(report.route_C_purity - flipped) < 1e-10
+        assert abs(report.routes["route_C_purity"] - flipped) < 1e-10
 
 
 def test_local_phase_invariance():

@@ -51,6 +51,12 @@ def test_spec_validation():
         TwoModeGaussianSpec(1.0, 1.0, 1.0 + 1.0j)
     with pytest.raises(InputError):
         TwoModeGaussianSpec(-1.0, 1.0, 0.0)
+    # Non-finite input, including an a*b that overflows, is refused.
+    inf, nan = float("inf"), float("nan")
+    for a, b, c in [(inf, 1.0, 0.0), (1.0, nan, 0.0), (1.0, 1.0, inf), (1.0, 1.0, 1j * inf),
+                    (1.0, 1.0, complex(0.0, nan)), (1e200, 1e200, 0.0)]:
+        with pytest.raises(InputError, match="finite"):
+            TwoModeGaussianSpec(a, b, c)
     # The imaginary branch has no magnitude restriction.
     TwoModeGaussianSpec(1.0, 1.0, 100.0j)
 
@@ -177,5 +183,5 @@ def test_closed_form_vs_gauss_hermite_pipeline():
     rule = cv.gauss_hermite_rule(64, ndim=2)
     for spec in random_physical_specs(10, seed=37):
         report = cv.concurrence_gaussian_numeric(spec.to_precision_matrix(), BP, rule)
-        assert abs(report.route_B_overlap - closed_form_concurrence(spec)) < 1e-6
+        assert abs(report.routes["route_B_overlap"] - closed_form_concurrence(spec)) < 1e-6
         assert report.max_pairwise_gap < 1e-11

@@ -14,6 +14,7 @@ from cvconc.cli import main
 from cvconc.quadrature import midpoint_rule
 from cvconc.serialization import gaussian_to_dict, save_grid_state
 
+import oracles
 from conftest import random_grid_state, random_product_state
 
 BP = Bipartition(2, (0,))
@@ -57,10 +58,38 @@ def test_routes_agree_on_an_off_norm_state():
     state = off_norm_state()
     report = cv.concurrence_report(state, BP)
     assert report.max_pairwise_gap < 1e-12
-    for name in ("C", "D", "E"):
-        assert abs(conc.ROUTES[name][1](cv.split(state, BP)) - report.route_A_wedge) < 1e-12
-    assert abs(cv.concurrence_route_C(state, BP) - report.route_B_overlap) < 1e-12
+    for name in ("A", "C", "D", "E"):
+        assert abs(conc.ROUTES[name][1](cv.split(state, BP)) - report.E2) < 1e-12
+    assert abs(cv.concurrence_route_C(state, BP) - report.routes["route_B_overlap"]) < 1e-12
     assert cv.run_verification(state, BP).overall
+
+
+@pytest.mark.parametrize("n_axes, members", [(2, "0"), (3, "0,2")])
+def test_library_and_cli_give_one_answer(tmp_path, capsys, n_axes, members):
+    state = random_grid_state(np.random.default_rng(59), n_axes=n_axes, max_pts=12)
+    bp = Bipartition.parse(members, n_axes)
+    path = tmp_path / "state.json"
+    save_grid_state(state, path)
+    report = cv.concurrence_report(state, bp)
+    assert main(["concurrence", str(path), "--M", members]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(report.routes) == {conc.ROUTES[name][0] for name in conc.DEFAULT_ROUTES}
+    assert report.values() == {**report.routes, "E2": report.E2}
+    assert {key: out[key] for key in report.values()} == report.values()
+    for key in ("entropy", "schmidt_rank", "verdict", "max_pairwise_gap", "mass_defect"):
+        assert out[key] == getattr(report, key), key
+    assert abs(report.E2 - oracles.schmidt_e2(state, bp)) < 1e-12
+    assert report.verdict == "entangled" and report.schmidt_rank >= 2
+
+
+def test_route_agreement_checks_the_svd_answer(monkeypatch):
+    # Scaled Schmidt weights move E2 alone; all six routes still agree.
+    state = random_grid_state(np.random.default_rng(61))
+    original = conc._schmidt_weights
+    monkeypatch.setattr(conc, "_schmidt_weights", lambda G: 0.999 * original(G))
+    checks = {c["name"]: c for c in cv.run_verification(state, BP).checks}
+    assert not checks["route_agreement"]["passed"]
+    assert cv.concurrence_report(state, BP).max_pairwise_gap > 1e-6
 
 
 def test_cli_concurrence_on_an_off_norm_file(tmp_path, capsys):
@@ -76,7 +105,7 @@ def test_cli_concurrence_on_an_off_norm_file(tmp_path, capsys):
 
 
 def test_verify_passes_beyond_the_old_dense_cap(tmp_path, capsys):
-    # 65 x 65 = 4225 is above the dense-operator edge of 4096 that
+    # 65 x 65 = 4225 is above the dense-operator cap of 4096 that only
     # build_rho_pt keeps; verify builds no dense operator.
     spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
     path = tmp_path / "gauss.json"
@@ -117,16 +146,18 @@ def test_verify_builds_no_dense_partial_transpose(monkeypatch, state):
 
 
 def test_each_consumer_runs_the_wedge_loop_once(tmp_path, capsys, monkeypatch):
+    # The library report runs DEFAULT_ROUTES, which hold no quartic route, so
+    # it is no consumer; `--routes A` and verify (all six routes) run it once.
     state = random_grid_state(np.random.default_rng(43))
     path = tmp_path / "rand.json"
     save_grid_state(state, path)
     calls = count_calls(monkeypatch, conc, "_wedge_sum_and_max")
     cv.concurrence_report(state, BP)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert main(["concurrence", str(path), "--M", "0", "--routes", "A"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     cv.run_verification(state, BP)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_route_a_passes_one_positional_matrix(tmp_path, capsys, monkeypatch):
@@ -143,10 +174,9 @@ def test_route_a_passes_one_positional_matrix(tmp_path, capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(conc, "_wedge_sum_and_max", recording)
-    cv.concurrence_report(state, BP)
     assert main(["concurrence", str(path), "--M", "0", "--routes", "A"]) == 0
     cv.run_verification(state, BP)
-    assert len(seen) == 3
+    assert len(seen) == 2
     for args, kwargs in seen:
         assert kwargs == {} and len(args) == 1
         assert type(args[0]) is np.ndarray and args[0].ndim == 2
