@@ -28,48 +28,41 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     return 4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G))
 
 
-def _route_b_from_matrix(G: np.ndarray) -> float:
-    # 2 [1 - ||K||_F^2] on the smaller Gram matrix K.
-    K = _gram(G)
-    return 2.0 * (1.0 - float(np.vdot(K, K).real))
-
-
-def _route_lambda_from_matrix(G: np.ndarray) -> float:
-    # Doubled-grid overlap <Phi, Phi o Lambda>: the member-block swap turns
-    # the doubled index (a,b,c,d) into (c,b,a,d), so the overlap is
-    # sum_ac K[a,c] K[c,a], the same sum on either side's Gram matrix.
-    K = _gram(G)
-    return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
-
-
-# Every route: name -> (output key, function of a Split). Route A looks
-# _wedge_sum_and_max up when it runs, so a wrapper installed on that module
-# attribute (bench/tracer.py counts quadruples this way) sees every call.
+# Every route: name -> (output key, function of a Split). Each entry looks
+# its public route function up on the module when it runs, so a wrapper
+# installed on that module attribute (bench/tracer.py spans every route and
+# counts route A's quadruples this way) sees every call.
 ROUTES = {
-    "A": ("route_A_wedge", lambda sp: _wedge_sum_and_max(sp.G)),
-    "B": ("route_B_overlap", lambda sp: _route_b_from_matrix(sp.G)),
-    "C": ("route_C_purity", spectral._route_c),
-    "Lambda": ("route_Lambda", lambda sp: _route_lambda_from_matrix(sp.G)),
-    "D": ("route_D_hilbert_schmidt", lambda sp: transpose._route_d(sp.G)),
-    "E": ("route_E_pt_fourth", lambda sp: transpose._route_e(sp.G)),
+    "A": ("route_A_wedge", lambda sp: concurrence_route_A(sp, sp.bipartition)),
+    "B": ("route_B_overlap", lambda sp: concurrence_route_B(sp, sp.bipartition)),
+    "C": ("route_C_purity", lambda sp: spectral.concurrence_route_C(sp, sp.bipartition)),
+    "Lambda": ("route_Lambda", lambda sp: concurrence_route_Lambda(sp, sp.bipartition)),
+    "D": ("route_D_hilbert_schmidt",
+          lambda sp: transpose.concurrence_route_D(sp, sp.bipartition)),
+    "E": ("route_E_pt_fourth", lambda sp: transpose.concurrence_route_E(sp, sp.bipartition)),
 }
 # A report's cross-checks unless others are named: one Gram product each.
 DEFAULT_ROUTES = ("B", "C", "Lambda")
 
 
-def concurrence_route_A(state: GridState, bipartition: Bipartition) -> float:
+def concurrence_route_A(state: GridState | Split, bipartition: Bipartition) -> float:
     """Direct quadruple integral of the squared wedge coefficients."""
     return _wedge_sum_and_max(split(state, bipartition).G)
 
 
-def concurrence_route_B(state: GridState, bipartition: Bipartition) -> float:
-    """Overlap-kernel form: 2 [1 - integral of |K(y', y)|^2]."""
-    return _route_b_from_matrix(split(state, bipartition).G)
+def concurrence_route_B(state: GridState | Split, bipartition: Bipartition) -> float:
+    """Overlap-kernel form 2 [1 - integral |K(y', y)|^2] on the smaller Gram matrix."""
+    K = _gram(split(state, bipartition).G)
+    return 2.0 * (1.0 - float(np.vdot(K, K).real))
 
 
-def concurrence_route_Lambda(state: GridState, bipartition: Bipartition) -> float:
+def concurrence_route_Lambda(state: GridState | Split, bipartition: Bipartition) -> float:
     """Doubled-coordinate form 2 [1 - Re <Phi, Phi o Lambda>]."""
-    return _route_lambda_from_matrix(split(state, bipartition).G)
+    # The member-block swap turns the doubled index (a,b,c,d) into (c,b,a,d),
+    # so the overlap is sum_ac K[a,c] K[c,a], the same sum on either side's
+    # Gram matrix.
+    K = _gram(split(state, bipartition).G)
+    return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
 
 
 _PRESET_F = {
@@ -85,8 +78,8 @@ def _resolve_f(f):
         raise InputError(f"unknown measure preset {f!r}")
     if isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
         alpha = float(f[1])
-        if alpha <= 0.0:
-            raise InputError("power preset needs a positive exponent")
+        if not (np.isfinite(alpha) and alpha > 0.0):
+            raise InputError("power preset needs a positive finite exponent")
         return lambda x: x**alpha
     raise InputError(
         "f must be 'identity', 'two_x_squared' or ('power', alpha); "
@@ -94,22 +87,27 @@ def _resolve_f(f):
     )
 
 
-def family_measure(state: GridState, bipartition: Bipartition, f, p, q) -> float:
+def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) -> float:
     """Member of the faithful measure family: apply f to the p-norm of the
     wedge of every pair of member-block slices, integrate, take the q-th root."""
     q = float(q)
-    if q <= 0.0:
-        raise InputError("q must be positive")
+    if not (np.isfinite(q) and q > 0.0):
+        raise InputError("q must be positive and finite")
     func = _resolve_f(f)
     sp = split(state, bipartition)
     F, wm, wrest = sp.F, sp.wm, sp.wrest
     if p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
         overlaps = (F * wrest) @ F.conj().T
-        norm_sq = np.outer(row_norms, row_norms) - np.abs(overlaps) ** 2
-        # A slice's wedge with itself is 0; the diagonal holds only cancellation.
+        outer = np.outer(row_norms, row_norms)
+        norm_sq = outer - np.abs(overlaps) ** 2
+        # The Lagrange form cannot resolve a squared wedge norm within
+        # round-off of |F_a|^2 |F_b|^2 (a product state's every pair): read it
+        # as 0, not as the root of a cancellation. A slice's wedge with itself
+        # is 0, though on long rows its round-off can exceed the cutoff.
+        norm_sq[norm_sq <= 8.0 * np.finfo(float).eps * outer] = 0.0
         np.fill_diagonal(norm_sq, 0.0)
-        norms = np.sqrt(np.maximum(norm_sq, 0.0))
+        norms = np.sqrt(norm_sq)
     elif p == 1:
         # Rows of F w_rest weight D by w_x w_y; the kernel sums the pairs y > x.
         norms = _pair_matrix(F * wrest, np.add)

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transpose
 from .errors import NumericError
 from .states import Bipartition, GridState, Split, _gram, split
-from .transpose import DiscreteOperator, _route_d
+from .transpose import DiscreteOperator
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
@@ -40,7 +41,7 @@ def _reduce(sp: Split) -> ReducedDensity:
     return ReducedDensity(DiscreteOperator(_gram(sp.G)), sp.bipartition)
 
 
-def reduce(state: GridState, bipartition: Bipartition) -> ReducedDensity:
+def reduce(state: GridState | Split, bipartition: Bipartition) -> ReducedDensity:
     """Trace out the complement block: kernel sum_k phi(x, k) phi*(x', k) w_k."""
     G = split(state, bipartition).G
     return ReducedDensity(DiscreteOperator(G @ G.conj().T), bipartition)
@@ -54,13 +55,9 @@ def purity(rd: ReducedDensity) -> float:
     return value
 
 
-def _route_c(sp: Split) -> float:
-    return 2.0 * (1.0 - purity(_reduce(sp)))
-
-
-def concurrence_route_C(state: GridState, bipartition: Bipartition) -> float:
+def concurrence_route_C(state: GridState | Split, bipartition: Bipartition) -> float:
     """Purity form of the squared concurrence: 2 [1 - Tr(rho_M^2)]."""
-    return _route_c(split(state, bipartition))
+    return 2.0 * (1.0 - purity(_reduce(split(state, bipartition))))
 
 
 def eigenvalues(rd: ReducedDensity) -> np.ndarray:
@@ -91,15 +88,12 @@ def one_minus_rho_moment(rd: ReducedDensity, k: int) -> float:
     return float(np.sum(eigs * (1.0 - eigs) ** k))
 
 
-def _hs_gap(route_d: float, p: float) -> float:
-    return abs(route_d + 2.0 * p - 2.0)
-
-
-def hs_identity_gap(state: GridState, bipartition: Bipartition) -> float:
+def hs_identity_gap(state: GridState | Split, bipartition: Bipartition) -> float:
     """|route_D + 2 * purity - 2|: the Hilbert-Schmidt identity between the
     partial-transpose distance and the distance of rho_M to maximal mixing,
     read in the infinite-dimensional limit where the latter reduces to purity.
     Route D applies the partial transpose matrix-free and the purity comes from
     the Gram matrix, so the identity ties the one to the other."""
     sp = split(state, bipartition)
-    return _hs_gap(_route_d(sp.G), purity(_reduce(sp)))
+    route_d = transpose.concurrence_route_D(sp, bipartition)
+    return abs(route_d + 2.0 * purity(_reduce(sp)) - 2.0)

@@ -239,18 +239,14 @@ def _blocks(amplitudes: np.ndarray, axis_weights, bipartition: Bipartition):
     return np.transpose(amplitudes, members + rest).reshape(wm.size, wrest.size), wm, wrest
 
 
-def block_matrix(state: GridState, bipartition: Bipartition, weighted: bool = True):
+def block_matrix(state: GridState, bipartition: Bipartition):
     """Amplitudes reshaped to (member block, complement block).
 
-    Returns (F, w_m, w_rest) where rows run over the linearized member-axis
-    indices and columns over the complement. With weighted=True each entry is
-    scaled by sqrt(w_row * w_col) so plain matrix algebra reproduces the
-    weighted integrals.
+    Returns (F, w_m, w_rest) where rows of F run over the linearized
+    member-axis indices and columns over the complement, with the flattened
+    quadrature weights of each block; split weights F into G.
     """
-    F, wm, wrest = _blocks(state.amplitudes, [ax.weights for ax in state.axes], bipartition)
-    if weighted:
-        F = F * np.sqrt(np.outer(wm, wrest))
-    return F, wm, wrest
+    return _blocks(state.amplitudes, [ax.weights for ax in state.axes], bipartition)
 
 
 @dataclass(frozen=True)
@@ -278,9 +274,15 @@ class Split:
         return cls(bipartition, F / norm, wm, wrest, G)
 
 
-def split(state: GridState, bipartition: Bipartition) -> Split:
-    """The prepared split of a grid state (one call of block_matrix)."""
-    return Split.from_blocks(bipartition, *block_matrix(state, bipartition, weighted=False))
+def split(state: GridState | Split, bipartition: Bipartition) -> Split:
+    """The prepared split of a grid state (one call of block_matrix). A Split
+    across the same bipartition is returned as it is, so every function that
+    starts here accepts a prepared split in place of the state."""
+    if isinstance(state, Split):
+        if state.bipartition != bipartition:
+            raise InputError(f"split is across {state.bipartition}, not {bipartition}")
+        return state
+    return Split.from_blocks(bipartition, *block_matrix(state, bipartition))
 
 
 def _gram(G: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
-from .states import Bipartition, GaussianPureState, GridState, split
+from .states import Bipartition, GaussianPureState, GridState, Split, split
 from .wedge import _CHUNK_BUDGET, _wedge_chunks
 
 # Edge cap of the one dense operator over the linearized grid, the matrix
@@ -88,15 +88,12 @@ def _check_operator_size(gm: int, gmbar: int):
         )
 
 
-def _lambda_gap(F: np.ndarray) -> float:
+def lambda_invariance_gap(state: GridState | Split, bipartition: Bipartition) -> float:
+    """Max-norm of Phi(X) - Phi(Lambda X) over the doubled grid (raw amplitudes)."""
     # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d],
     # so the gap is the largest wedge coefficient over the row pairs of F.
+    F = split(state, bipartition).F
     return float(max((np.abs(d).max() for _, _, d in _wedge_chunks(F)), default=0.0))
-
-
-def lambda_invariance_gap(state: GridState, bipartition: Bipartition) -> float:
-    """Max-norm of Phi(X) - Phi(Lambda X) over the doubled grid (raw amplitudes)."""
-    return _lambda_gap(split(state, bipartition).F)
 
 
 def _pt_matrix(G: np.ndarray) -> np.ndarray:
@@ -104,7 +101,7 @@ def _pt_matrix(G: np.ndarray) -> np.ndarray:
     return np.einsum("ad,cb->abcd", G, G.conj()).reshape(G.size, G.size)
 
 
-def build_rho_pt(state: GridState, bipartition: Bipartition) -> DiscreteOperator:
+def build_rho_pt(state: GridState | Split, bipartition: Bipartition) -> DiscreteOperator:
     """Partial transpose of the pure density operator: kernel
     phi(x_M, y_rest) phi*(y_M, x_rest) with symmetric weighting."""
     return DiscreteOperator(_pt_matrix(split(state, bipartition).G))
@@ -129,14 +126,18 @@ def _probe_norm(R: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(R, R).real / _PROBES))
 
 
-def _pt_square_gap(G: np.ndarray) -> float:
-    """Probe estimate of the Frobenius residual of rho_PT^2 = rho_M (x)
-    conj(rho_rest) and rho~_PT rho~_PT^dag = rho_M (x) rho_rest.
+def pt_square_factorization_gap(state: GridState | Split, bipartition: Bipartition) -> float:
+    """Residual of the partial-transpose square factorization, estimated in
+    the Frobenius norm from seeded random probes (Freivalds 1979).
 
-    On gm x gmbar arrays (row-major vec) the right-hand sides act as
-    V -> rho_M V rho_rest and V -> rho_M V conj(rho_rest); they are formed
-    from the smaller Gram matrix only, independently of _pt_matvec.
+    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
+    rho_M (x) rho_rest; the conjugation on the complement factor comes from
+    the transposed kernel ordering and is invisible for real wavefunctions.
     """
+    # On gm x gmbar arrays (row-major vec) the right-hand sides act as
+    # V -> rho_M V rho_rest and V -> rho_M V conj(rho_rest); they are formed
+    # from the smaller Gram matrix only, independently of _pt_matvec.
+    G = split(state, bipartition).G
     rng = np.random.default_rng(_PROBE_SEED)
     z = rng.standard_normal((2, _PROBES, *G.shape))
     V = (z[0] + 1j * z[1]) / np.sqrt(2.0)
@@ -153,39 +154,27 @@ def _pt_square_gap(G: np.ndarray) -> float:
     return max(gap, gap_tilde)
 
 
-def pt_square_factorization_gap(state: GridState, bipartition: Bipartition) -> float:
-    """Residual of the partial-transpose square factorization, estimated in
-    the Frobenius norm from seeded random probes (Freivalds 1979).
-
-    rho_PT^2 equals rho_M (x) conj(rho_rest) and rho~_PT rho~_PT^dag equals
-    rho_M (x) rho_rest; the conjugation on the complement factor comes from
-    the transposed kernel ordering and is invisible for real wavefunctions.
-    """
-    return _pt_square_gap(split(state, bipartition).G)
-
-
-def _route_d(G: np.ndarray) -> float:
+def concurrence_route_D(state: GridState | Split, bipartition: Bipartition) -> float:
+    """Squared Hilbert-Schmidt distance between rho-tilde and its partial transpose."""
     # rho~[(a,b),(c,d)] = G[a,b] G[c,d] and rho~^Gamma[(a,b),(c,d)] = G[a,d] G[c,b]
     # both have Frobenius norm ||G||_F^2, so the squared distance is
     # 2 ||G||_F^4 - 2 Re <rho~, rho~^Gamma>, where <rho~, rho~^Gamma> is
     # <G, rho~^Gamma conj(G)>. Not clamped at 0, so its round-off shows in the
     # route spread.
+    G = split(state, bipartition).G
     norm_sq = np.vdot(G, G).real
     overlap = np.vdot(G, _pt_matvec(G, G.conj(), G)).real
     return float(2.0 * (norm_sq**2 - overlap))
 
 
-def concurrence_route_D(state: GridState, bipartition: Bipartition) -> float:
-    """Squared Hilbert-Schmidt distance between rho-tilde and its partial transpose."""
-    return _route_d(split(state, bipartition).G)
-
-
-def _route_e(G: np.ndarray) -> float:
+def concurrence_route_E(state: GridState | Split, bipartition: Bipartition) -> float:
+    """Fourth-power form 2 [1 - sqrt(Tr rho_PT^4)]."""
     # rho_PT^2 = rho_M (x) conj(rho_rest), so sqrt(Tr rho_PT^4) is the product
     # of the Frobenius norms of the two reduced densities; unlike route C it
     # sees the purities of the two blocks disagree. The smaller Gram matrix is
     # formed whole; the larger one's squared norm is summed over column blocks
     # of M within the wedge kernel's chunk budget.
+    G = split(state, bipartition).G
     M = G if G.shape[0] <= G.shape[1] else G.T
     small = np.linalg.norm(M @ M.conj().T)
     step = max(1, _CHUNK_BUDGET // M.shape[1])
@@ -194,11 +183,6 @@ def _route_e(G: np.ndarray) -> float:
         block = M[:, j:j + step].conj().T @ M
         large += np.vdot(block, block).real
     return float(2.0 * (1.0 - small * np.sqrt(large)))
-
-
-def concurrence_route_E(state: GridState, bipartition: Bipartition) -> float:
-    """Fourth-power form 2 [1 - sqrt(Tr rho_PT^4)]."""
-    return _route_e(split(state, bipartition).G)
 
 
 def _ppt_bounds(G: np.ndarray) -> tuple:
@@ -222,7 +206,7 @@ def _ppt_bounds(G: np.ndarray) -> tuple:
     return lower, upper
 
 
-def ppt_min_eigenvalue(state: GridState, bipartition: Bipartition) -> float:
+def ppt_min_eigenvalue(state: GridState | Split, bipartition: Bipartition) -> float:
     """Smallest eigenvalue of the partial transpose: the Rayleigh quotient of
     its SVD certificate, -s_1 s_2 to round-off."""
     return _ppt_bounds(split(state, bipartition).G)[1]

@@ -67,13 +67,11 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     trace_pt = float(np.vdot(sp.G, sp.G).real)
     report.add("trace_rho_pt", trace_pt - 1.0, 1e-10)
     report.add("trace_rho_pt_squared", trace_pt**2 - 1.0, 1e-10)
-    report.add("pt_square_factorization", transpose._pt_square_gap(sp.G), 1e-10)
+    report.add("pt_square_factorization",
+               transpose.pt_square_factorization_gap(sp, bipartition), 1e-10)
+    report.add("hs_identity", spectral.hs_identity_gap(sp, bipartition), 1e-10)
 
-    rd = spectral._reduce(sp)
-    hs_gap = spectral._hs_gap(answer.routes[conc.ROUTES["D"][0]], spectral.purity(rd))
-    report.add("hs_identity", hs_gap, 1e-10)
-
-    entropy = spectral.von_neumann_entropy(rd)
+    entropy = spectral.von_neumann_entropy(spectral._reduce(sp))
     report.add("entropy_bound", max(0.0, e2 / 2.0 - entropy), 1e-9)
     if e2 < SEPARABLE_E2:
         report.add("entropy_vanishes_when_separable", entropy, 1e-9)
@@ -84,7 +82,8 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     if e2 < SEPARABLE_E2:
         lower, _ = transpose._ppt_bounds(sp.G)
         report.add("ppt_positive_for_separable", lower, 1e-8, passed=lower >= -1e-8)
-        report.add("lambda_invariance_for_separable", transpose._lambda_gap(sp.F), 1e-9)
+        report.add("lambda_invariance_for_separable",
+                   transpose.lambda_invariance_gap(sp, bipartition), 1e-9)
     elif e2 > ENTANGLED_E2:
         _, upper = transpose._ppt_bounds(sp.G)
         report.add("ppt_negative_for_entangled", upper, 1e-6, passed=upper < -1e-6)

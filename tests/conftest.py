@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvconc import Bipartition, GridAxis, GridState
+from cvconc import Bipartition, GridAxis, GridState, Split
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 200
@@ -48,6 +48,12 @@ def shaped_state(rng, shape, product=False):
     else:
         amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return GridState.from_amplitudes(tuple(GridAxis(-4.0, 4.0, n) for n in shape), amp)
+
+
+def raw_split(M):
+    """A Split of two axes whose G and F are the matrix M as given, with unit
+    weights and no rescaling, so the route and check functions read M."""
+    return Split(Bipartition(2, (0,)), M, np.ones(M.shape[0]), np.ones(M.shape[1]), M)
 
 
 @pytest.fixture(scope="session")

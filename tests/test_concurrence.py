@@ -131,6 +131,19 @@ def test_family_p2_matches_the_slice_pair_sum(shape):
     assert abs(family_measure(state, bp, "identity", 2, 1) - expected) < 1e-14 * expected
 
 
+@pytest.mark.parametrize("shape, members", [
+    ((8, 8), (0,)), ((16, 16), (0,)), ((6, 6, 6), (0,)), ((8, 8, 8), (0,)),
+    ((8, 8, 8), (1, 2)), ((64, 8), (0,)), ((8, 64), (0,)),
+])
+def test_family_p2_matches_the_slice_pair_sum_on_product_states(shape, members):
+    # Every pair's squared wedge norm is cancellation round-off of the Lagrange
+    # form; its square root would read about 1e-8 to 1e-7 in the integral.
+    state = shaped_state(np.random.default_rng(sum(shape)), shape, product=True)
+    bp = Bipartition(len(shape), members)
+    expected = oracles.family_p_norm(state, bp, 2)
+    assert abs(family_measure(state, bp, "identity", 2, 1) - expected) < 1e-14
+
+
 def test_family_measure_positive_on_entangled():
     state = gaussian_grid(1.0, points=24)
     assert family_measure(state, BP, ("power", 2.0), 1, 2) > 0.0
@@ -146,6 +159,12 @@ def test_family_measure_validation():
         family_measure(state, BP, lambda x: x, 2, 2)
     with pytest.raises(InputError):
         family_measure(state, BP, "identity", 3, 2)
+    # A non-finite q or exponent would give NaN, 1.0 or, for ("power", inf),
+    # a separable-looking 0.0 on this entangled state.
+    for f, q in [("identity", np.nan), ("identity", np.inf),
+                 (("power", np.nan), 2), (("power", np.inf), 2)]:
+        with pytest.raises(InputError):
+            family_measure(state, BP, f, 2, q)
 
 
 def test_decide_separability_product_factors():

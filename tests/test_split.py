@@ -15,7 +15,7 @@ from cvconc.quadrature import midpoint_rule
 from cvconc.serialization import gaussian_to_dict, save_grid_state
 
 import oracles
-from conftest import random_grid_state, random_product_state
+from conftest import random_grid_state, random_product_state, shaped_state
 
 BP = Bipartition(2, (0,))
 
@@ -45,8 +45,8 @@ def test_split_matches_block_matrix_at_unit_norm():
     state = off_norm_state()
     assert abs(state.norm_squared - 1.0 - 5e-10) < 1e-12
     sp = cv.split(state, BP)
-    G, wm, wrest = cv.states.block_matrix(state, BP)
-    F, _, _ = cv.states.block_matrix(state, BP, weighted=False)
+    F, wm, wrest = cv.states.block_matrix(state, BP)
+    G = F * np.sqrt(np.outer(wm, wrest))
     assert abs(np.linalg.norm(sp.G) - 1.0) < 1e-15
     assert np.array_equal(sp.wm, wm) and np.array_equal(sp.wrest, wrest)
     scale = np.sqrt(1.0 + 5e-10)
@@ -192,3 +192,75 @@ def test_gaussian_numeric_on_the_midpoint_rule_is_the_grid_report():
     assert numeric.verdict == grid.verdict == "entangled"
     assert abs(numeric.mass_defect - grid.mass_defect) < 1e-12
     assert numeric.mass_defect > 0.0
+
+
+# Every public route and identity check, and the family at p = 1, 2 and inf,
+# as a function of (state or prepared split, bipartition).
+SPLIT_CONSUMERS = {
+    "route_A": cv.concurrence_route_A,
+    "route_B": cv.concurrence_route_B,
+    "route_C": cv.concurrence_route_C,
+    "route_Lambda": cv.concurrence_route_Lambda,
+    "route_D": cv.concurrence_route_D,
+    "route_E": cv.concurrence_route_E,
+    "lambda_invariance_gap": cv.lambda_invariance_gap,
+    "pt_square_factorization_gap": cv.pt_square_factorization_gap,
+    "hs_identity_gap": cv.hs_identity_gap,
+    "ppt_min_eigenvalue": cv.ppt_min_eigenvalue,
+    "family_p1": lambda s, bp: cv.family_measure(s, bp, "identity", 1, 1),
+    "family_p2": lambda s, bp: cv.family_measure(s, bp, "identity", 2, 1),
+    "family_pinf": lambda s, bp: cv.family_measure(s, bp, "identity", np.inf, 1),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_CONSUMERS)
+@pytest.mark.parametrize("shape, members", [((9, 7), (0,)), ((5, 4, 6), (0, 2))],
+                         ids=["2-mode", "3-mode-0,2"])
+def test_a_prepared_split_gives_the_value_of_the_state(monkeypatch, name, shape, members):
+    state = shaped_state(np.random.default_rng(67), shape)
+    bp = Bipartition(len(shape), members)
+    sp = cv.split(state, bp)
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    from_split = SPLIT_CONSUMERS[name](sp, bp)
+    assert len(calls) == 0
+    assert from_split == SPLIT_CONSUMERS[name](state, bp)
+    assert len(calls) == 1
+
+
+def test_a_split_across_another_bipartition_is_refused():
+    state = shaped_state(np.random.default_rng(71), (5, 4, 6))
+    sp = cv.split(state, Bipartition(3, (0, 2)))
+    assert cv.split(sp, Bipartition(3, (2, 0))) is sp
+    for other in (Bipartition(3, (0,)), Bipartition(3, (1,)), Bipartition(2, (0,))):
+        with pytest.raises(cv.InputError):
+            cv.split(sp, other)
+        with pytest.raises(cv.InputError):
+            cv.concurrence_route_B(sp, other)
+
+
+@pytest.mark.parametrize("state", [
+    random_product_state(np.random.default_rng(73)),
+    random_grid_state(np.random.default_rng(73)),
+], ids=["separable", "entangled"])
+def test_routes_and_verify_call_the_public_functions(monkeypatch, state):
+    # ROUTES and run_verification look each route and check up on its module
+    # when they run, so a wrapper installed there sees every call.
+    public = {
+        conc: ("concurrence_route_A", "concurrence_route_B", "concurrence_route_Lambda"),
+        cv.spectral: ("concurrence_route_C", "hs_identity_gap"),
+        cv.transpose: ("concurrence_route_D", "concurrence_route_E",
+                       "pt_square_factorization_gap", "lambda_invariance_gap"),
+    }
+    calls = {name: count_calls(monkeypatch, module, name)
+             for module, names in public.items() for name in names}
+    assert cv.run_verification(state, BP).overall
+    counts = {name: len(seen) for name, seen in calls.items()}
+    # Route D runs once in route_agreement and once in hs_identity; the Lambda
+    # gap is a check of separable states only.
+    expected = dict.fromkeys(counts, 1)
+    expected["concurrence_route_D"] = 2
+    if cv.concurrence_report(state, BP).verdict == "entangled":
+        expected["lambda_invariance_gap"] = 0
+    assert counts == expected
+    for seen in calls.values():
+        assert all(isinstance(args[0], cv.Split) for args in seen)

@@ -25,7 +25,7 @@ from cvconc import (
 from cvconc.errors import InputError
 
 import oracles
-from conftest import random_grid_state, random_product_state, shaped_state
+from conftest import random_grid_state, random_product_state, raw_split, shaped_state
 
 BP = Bipartition(2, (0,))
 
@@ -97,7 +97,7 @@ def test_rho_pt_equals_rho_for_real_product_state():
 def test_rho_pt_transposes_complement_factor():
     state = random_product_state(np.random.default_rng(11))
     pt = build_rho_pt(state, BP).matrix
-    G, _, _ = cv.states.block_matrix(state, BP)
+    G = cv.split(state, BP).G
     rho_m = G @ G.conj().T
     rho_rest = G.T @ G.conj()
     assert np.max(np.abs(pt - np.kron(rho_m, rho_rest.T))) < 1e-12
@@ -130,7 +130,7 @@ def test_route_D_matches_route_A():
 def test_route_D_bell_brute_force(bell_state):
     # Dense 4x4 oracle: || rho~ - rho~_PT ||_HS^2 with rho~(x, y) built from
     # the weighted wavefunction without conjugation.
-    G, _, _ = cv.states.block_matrix(bell_state, BP)
+    G = cv.split(bell_state, BP).G
     tilde = np.einsum("ab,cd->abcd", G, G)
     tilde_pt = np.einsum("ad,cb->abcd", G, G)
     oracle = float(np.sum(np.abs(tilde - tilde_pt) ** 2))
@@ -159,7 +159,8 @@ def test_route_D_matches_kernel_oracle_on_thin_blocks(shape):
     rng = np.random.default_rng(53)
     G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     G /= np.linalg.norm(G)
-    assert abs(cv.transpose._route_d(G) - oracles.route_d_kernel(G)) < 1e-14
+    sp = raw_split(G)
+    assert abs(concurrence_route_D(sp, sp.bipartition) - oracles.route_d_kernel(G)) < 1e-14
 
 
 def test_pt_square_factorization_random():

@@ -21,6 +21,8 @@ from cvconc import concurrence as cv_concurrence
 from cvconc import transpose as cv_transpose
 from cvconc.errors import InputError
 
+from conftest import raw_split
+
 
 def _weighted_norms(f, g, w):
     nf = float(np.sum(np.abs(f) ** 2 * w))
@@ -214,8 +216,9 @@ def test_kernel_without_minors_gives_zero(shape):
     rng = np.random.default_rng(8)
     G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     assert cv_concurrence._wedge_sum_and_max(G) == 0.0
-    assert cv_transpose._route_d(G) == 0.0
-    assert cv_transpose._lambda_gap(G) == 0.0
+    sp = raw_split(G)
+    assert cv_transpose.concurrence_route_D(sp, sp.bipartition) == 0.0
+    assert cv_transpose.lambda_invariance_gap(sp, sp.bipartition) == 0.0
     for ufunc in (np.add, np.maximum):
         pairs = KERNEL._pair_matrix(G, ufunc)
         assert pairs.shape == (shape[0], shape[0]) and not pairs.any()
@@ -225,7 +228,8 @@ def test_kernel_on_two_by_two_is_the_determinant():
     G = np.array([[1.0 + 2.0j, -3.0], [0.5j, 4.0 - 1.0j]])
     det = abs(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
     assert abs(cv_concurrence._wedge_sum_and_max(G) - 4.0 * det**2) < 1e-12
-    assert abs(cv_transpose._route_d(G) - 4.0 * det**2) < 1e-12
+    sp = raw_split(G)
+    assert abs(cv_transpose.concurrence_route_D(sp, sp.bipartition) - 4.0 * det**2) < 1e-12
     for ufunc in (np.add, np.maximum):
         pairs = KERNEL._pair_matrix(G, ufunc)
         assert np.allclose(pairs, [[0.0, det], [det, 0.0]], rtol=1e-14, atol=0.0)
