@@ -3,6 +3,7 @@ parametrized measure family, and separability decisions with witnesses."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +11,7 @@ import numpy as np
 from . import spectral, transpose
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
-from .states import (Bipartition, GaussianPureState, GridState, Split, _blocks, _gram, _sample,
-                     split)
+from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
 from .wedge import _pair_matrix, _pairs, _wedge_chunks
 
 DEFAULT_THRESHOLD = 1e-8
@@ -41,7 +41,7 @@ ROUTES = {
           lambda sp: transpose.concurrence_route_D(sp, sp.bipartition)),
     "E": ("route_E_pt_fourth", lambda sp: transpose.concurrence_route_E(sp, sp.bipartition)),
 }
-# A report's cross-checks unless others are named: one Gram product each.
+# A report's cross-checks unless others are named: each reads the split's one K.
 DEFAULT_ROUTES = ("B", "C", "Lambda")
 
 
@@ -52,7 +52,7 @@ def concurrence_route_A(state: GridState | Split, bipartition: Bipartition) -> f
 
 def concurrence_route_B(state: GridState | Split, bipartition: Bipartition) -> float:
     """Overlap-kernel form 2 [1 - integral |K(y', y)|^2] on the smaller Gram matrix."""
-    K = _gram(split(state, bipartition).G)
+    K = split(state, bipartition).K
     return 2.0 * (1.0 - float(np.vdot(K, K).real))
 
 
@@ -61,7 +61,7 @@ def concurrence_route_Lambda(state: GridState | Split, bipartition: Bipartition)
     # The member-block swap turns the doubled index (a,b,c,d) into (c,b,a,d),
     # so the overlap is sum_ac K[a,c] K[c,a], the same sum on either side's
     # Gram matrix.
-    K = _gram(split(state, bipartition).G)
+    K = split(state, bipartition).K
     return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
 
 
@@ -138,12 +138,11 @@ class SeparabilityCertificate:
     reconstruction_error: float = None
 
 
-def _schmidt_weights(G: np.ndarray) -> np.ndarray:
-    """Schmidt weights sigma_i^2 of the weighted block matrix G, descending."""
-    return np.linalg.svd(G, compute_uv=False) ** 2
-
-
 def _schmidt_rank(weights: np.ndarray, threshold: float) -> int:
+    """Number of Schmidt weights above the threshold, a finite number >= 0: a
+    NaN threshold would call every state separable, a negative one entangled."""
+    if not (isinstance(threshold, numbers.Real) and 0.0 <= threshold < np.inf):
+        raise InputError(f"threshold must be a finite number >= 0, got {threshold!r}")
     return int(np.count_nonzero(weights > threshold))
 
 
@@ -201,7 +200,7 @@ def decide_separability(
     rest_axes = tuple(state.axes[k] for k in bipartition.complement)
     m_shape = tuple(ax.points for ax in member_axes)
     r_shape = tuple(ax.points for ax in rest_axes)
-    if _verdict(_schmidt_weights(sp.G), threshold) == "entangled":
+    if _verdict(sp.schmidt, threshold) == "entangled":
         (a, b, x, y), magnitude_sq = _witness_quadruple(sp.G)
         witness = EntanglementWitness(
             slice_pair=(
@@ -258,14 +257,15 @@ class ConcurrenceReport:
 
 def _report(sp: Split, threshold, mass_defect=0.0, routes=DEFAULT_ROUTES) -> ConcurrenceReport:
     """The answer from one SVD of the split, cross-checked by the named ROUTES."""
-    weights = _schmidt_weights(sp.G)
+    weights = sp.schmidt
+    rank = _schmidt_rank(weights, threshold)
     e2 = 2.0 * (1.0 - float(weights @ weights))
     values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in routes}
     spread = [*values.values(), e2]
     return ConcurrenceReport(
         E2=e2,
         entropy=spectral._entropy(weights),
-        schmidt_rank=_schmidt_rank(weights, threshold),
+        schmidt_rank=rank,
         routes=values,
         max_pairwise_gap=max(spread) - min(spread),
         verdict=_verdict(weights, threshold),

@@ -25,8 +25,10 @@ class ProductRule:
         for n, w in zip(nodes, weights):
             if n.shape != w.shape or n.ndim != 1:
                 raise InputError("per-axis nodes and weights must be 1-d and equal length")
-            if np.any(w <= 0.0):
-                raise InputError("quadrature weights must be strictly positive")
+            if not np.isfinite(n).all():
+                raise InputError("quadrature nodes must be finite")
+            if not np.all((w > 0.0) & np.isfinite(w)):
+                raise InputError("quadrature weights must be strictly positive and finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -71,8 +73,8 @@ def gauss_hermite_rule(points_per_axis: int, scale=1.0, ndim: int = None) -> Pro
     scales = np.atleast_1d(np.asarray(scale, dtype=float))
     if ndim is not None and scales.size == 1:
         scales = np.full(ndim, scales[0])
-    if np.any(scales <= 0.0):
-        raise InputError("scales must be positive")
+    if not np.all((scales > 0.0) & np.isfinite(scales)):
+        raise InputError("scales must be positive and finite")
     x, w = np.polynomial.hermite.hermgauss(points_per_axis)
     total = w * np.exp(x**2)
     return ProductRule(

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import transpose
 from .errors import NumericError
-from .states import Bipartition, GridState, Split, _gram, split
+from .states import Bipartition, GridState, Split, split
 from .transpose import DiscreteOperator
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
@@ -38,7 +38,7 @@ class ReducedDensity:
 def _reduce(sp: Split) -> ReducedDensity:
     """The reduced density of the smaller block: the member block's purity and
     nonzero spectrum at an edge of min(gm, gmbar)."""
-    return ReducedDensity(DiscreteOperator(_gram(sp.G)), sp.bipartition)
+    return ReducedDensity(DiscreteOperator(sp.K), sp.bipartition)
 
 
 def reduce(state: GridState | Split, bipartition: Bipartition) -> ReducedDensity:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -258,6 +259,17 @@ class Split:
     weighted matrix F * sqrt(wm wrest), whose singular values are the Schmidt
     coefficients. F and G are scaled to unit weighted norm, so a state whose
     stored norm is off by round-off gives the routes of the normalized state.
+
+    K = M M^H, for M the side of G with fewer rows (G, or G^T), is the reduced
+    density of the smaller block, conjugated when that is the complement, with
+    the nonzero spectrum sigma_i^2 of both blocks; schmidt holds the Schmidt
+    weights sigma_i^2, descending, from one values-only SVD of G. Both are
+    formed on first read, cached on the split and read-only, so every route,
+    check and report reads the same arrays. Three readers stay apart on
+    purpose: the PPT certificate takes its own full SVD for the singular
+    vectors, the entropy check takes eigvalsh of K so that it compares an
+    independent spectrum with the SVD's, and the Hilbert-Schmidt identity
+    check calls route D itself rather than reuse a report's value.
     """
 
     bipartition: Bipartition
@@ -273,6 +285,19 @@ class Split:
         G /= norm
         return cls(bipartition, F / norm, wm, wrest, G)
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        M = self.G if self.G.shape[0] <= self.G.shape[1] else self.G.T
+        K = M @ M.conj().T
+        K.flags.writeable = False
+        return K
+
+    @cached_property
+    def schmidt(self) -> np.ndarray:
+        weights = np.linalg.svd(self.G, compute_uv=False) ** 2
+        weights.flags.writeable = False
+        return weights
+
 
 def split(state: GridState | Split, bipartition: Bipartition) -> Split:
     """The prepared split of a grid state (one call of block_matrix). A Split
@@ -283,11 +308,3 @@ def split(state: GridState | Split, bipartition: Bipartition) -> Split:
             raise InputError(f"split is across {state.bipartition}, not {bipartition}")
         return state
     return Split.from_blocks(bipartition, *block_matrix(state, bipartition))
-
-
-def _gram(G: np.ndarray) -> np.ndarray:
-    """K = M M^H for M the side of G with fewer rows (G, or G^T): the reduced
-    density of the smaller block, conjugated when that is the complement, with
-    the nonzero spectrum sigma_i^2 of both blocks."""
-    M = G if G.shape[0] <= G.shape[1] else G.T
-    return M @ M.conj().T

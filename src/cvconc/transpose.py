@@ -136,19 +136,19 @@ def pt_square_factorization_gap(state: GridState | Split, bipartition: Bipartiti
     """
     # On gm x gmbar arrays (row-major vec) the right-hand sides act as
     # V -> rho_M V rho_rest and V -> rho_M V conj(rho_rest); they are formed
-    # from the smaller Gram matrix only, independently of _pt_matvec.
-    G = split(state, bipartition).G
+    # from the smaller Gram matrix K only, independently of _pt_matvec.
+    sp = split(state, bipartition)
+    G, K = sp.G, sp.K
     rng = np.random.default_rng(_PROBE_SEED)
     z = rng.standard_normal((2, _PROBES, *G.shape))
     V = (z[0] + 1j * z[1]) / np.sqrt(2.0)
     Gc = G.conj()
     if G.shape[0] <= G.shape[1]:
-        left = (G @ Gc.T) @ V
+        left = K @ V
         target, target_tilde = (left @ G.T) @ Gc, (left @ Gc.T) @ G
     else:
-        rest = G.T @ Gc
         left = G @ (Gc.T @ V)
-        target, target_tilde = left @ rest, left @ rest.conj()
+        target, target_tilde = left @ K, left @ K.conj()
     gap = _probe_norm(_pt_matvec(G, _pt_matvec(G, V, Gc), Gc) - target)
     gap_tilde = _probe_norm(_pt_matvec(G, _pt_matvec(Gc, V, Gc), G) - target_tilde)
     return max(gap, gap_tilde)
@@ -172,11 +172,11 @@ def concurrence_route_E(state: GridState | Split, bipartition: Bipartition) -> f
     # rho_PT^2 = rho_M (x) conj(rho_rest), so sqrt(Tr rho_PT^4) is the product
     # of the Frobenius norms of the two reduced densities; unlike route C it
     # sees the purities of the two blocks disagree. The smaller Gram matrix is
-    # formed whole; the larger one's squared norm is summed over column blocks
+    # the split's K; the larger one's squared norm is summed over column blocks
     # of M within the wedge kernel's chunk budget.
-    G = split(state, bipartition).G
-    M = G if G.shape[0] <= G.shape[1] else G.T
-    small = np.linalg.norm(M @ M.conj().T)
+    sp = split(state, bipartition)
+    M = sp.G if sp.G.shape[0] <= sp.G.shape[1] else sp.G.T
+    small = np.linalg.norm(sp.K)
     step = max(1, _CHUNK_BUDGET // M.shape[1])
     large = 0.0
     for j in range(0, M.shape[1], step):

@@ -92,8 +92,10 @@ def lagrange_identity_gap(f, g, weights) -> float:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not (f.size == g.size == w.size):
         raise InputError("vectors and weights must have equal length")
-    if np.any(w <= 0.0):
-        raise InputError("weights must be strictly positive")
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise InputError("vectors must be finite")
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise InputError("weights must be strictly positive and finite")
     nf = float(np.sum(np.abs(f) ** 2 * w))
     ng = float(np.sum(np.abs(g) ** 2 * w))
     ip = complex(np.sum(f * np.conj(g) * w))

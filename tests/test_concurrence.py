@@ -167,6 +167,27 @@ def test_family_measure_validation():
             family_measure(state, BP, f, 2, q)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -1.0, "1e-8", None])
+def test_threshold_must_be_finite_and_nonnegative(threshold):
+    # Unchecked, NaN read an entangled state as separable with Schmidt rank 0
+    # and -1 read a product state as entangled with full rank.
+    rng = np.random.default_rng(83)
+    spec = GaussianPureState(np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex))
+    for state in (shaped_state(rng, (8, 8)), shaped_state(rng, (8, 8), product=True)):
+        with pytest.raises(InputError):
+            concurrence_report(state, BP, threshold)
+        with pytest.raises(InputError):
+            decide_separability(state, BP, threshold)
+    with pytest.raises(InputError):
+        concurrence_gaussian_numeric(spec, BP, gauss_hermite_rule(8, 1.0, 2), threshold)
+
+
+def test_threshold_zero_is_accepted():
+    state = shaped_state(np.random.default_rng(83), (8, 8), product=True)
+    assert concurrence_report(state, BP, 0.0).threshold == 0.0
+    assert decide_separability(state, BP, 0.0).threshold == 0.0
+
+
 def test_decide_separability_product_factors():
     state = random_product_state(np.random.default_rng(53))
     cert = decide_separability(state, BP)
@@ -464,7 +485,7 @@ def test_gram_routes_memory_on_the_smaller_side():
 @pytest.mark.parametrize("shape", [(1, 50), (50, 1), (2, 50)])
 def test_verdict_from_the_schmidt_weights_of_thin_splits(shape):
     # One row or column has one Schmidt weight: separable, where sigma_2 is absent.
-    weights = cv.concurrence._schmidt_weights(_random_split(shape, 3).G)
+    weights = _random_split(shape, 3).schmidt
     assert abs(weights.sum() - 1.0) < 1e-12
     expected = "entangled" if min(shape) > 1 else "separable"
     assert cv.concurrence._verdict(weights, cv.concurrence.DEFAULT_THRESHOLD) == expected

@@ -98,6 +98,20 @@ def test_gauss_hermite_validation():
         gauss_hermite_rule(4, scale=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rules_refuse_non_finite_values(bad):
+    # NaN passed the old "<= 0" tests and built an all-NaN rule, whose states
+    # then failed inside the SVD instead of at the input.
+    with pytest.raises(InputError, match="scales"):
+        gauss_hermite_rule(8, bad, 2)
+    with pytest.raises(InputError, match="scales"):
+        gauss_hermite_rule(8, [1.0, bad])
+    with pytest.raises(InputError):
+        ProductRule(nodes=([0.0, bad],), weights=([1.0, 1.0],))
+    with pytest.raises(InputError):
+        ProductRule(nodes=([0.0, 1.0],), weights=([1.0, bad],))
+
+
 def test_integrate_scalar_callable_fallback():
     rule = midpoint_rule([GridAxis(0.0, 1.0, 4), GridAxis(0.0, 1.0, 4)])
     value = integrate(rule, lambda x, y: float(x) + float(y))

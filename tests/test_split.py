@@ -1,6 +1,8 @@
-"""The prepared split: one block matrix per command, unit norm, the route
-table every consumer reads, and the one Gaussian sampler."""
+"""The prepared split: one block matrix, Gram matrix and Schmidt SVD per
+command, unit norm, the route table every consumer reads, and the one
+Gaussian sampler."""
 
+import functools
 import json
 import sys
 
@@ -85,8 +87,8 @@ def test_library_and_cli_give_one_answer(tmp_path, capsys, n_axes, members):
 def test_route_agreement_checks_the_svd_answer(monkeypatch):
     # Scaled Schmidt weights move E2 alone; all six routes still agree.
     state = random_grid_state(np.random.default_rng(61))
-    original = conc._schmidt_weights
-    monkeypatch.setattr(conc, "_schmidt_weights", lambda G: 0.999 * original(G))
+    original = cv.Split.schmidt.func
+    monkeypatch.setattr(cv.Split, "schmidt", property(lambda sp: 0.999 * original(sp)))
     checks = {c["name"]: c for c in cv.run_verification(state, BP).checks}
     assert not checks["route_agreement"]["passed"]
     assert cv.concurrence_report(state, BP).max_pairwise_gap > 1e-6
@@ -133,6 +135,61 @@ def test_library_builds_one_block_matrix(monkeypatch):
     assert len(calls) == 1
     assert cv.decide_separability(state, BP).verdict == "separable"
     assert len(calls) == 2
+
+
+def count_forms(monkeypatch, name):
+    """Count how often the cached Split attribute name is formed."""
+    calls = []
+    original = getattr(cv.Split, name).func
+
+    def counted(sp):
+        calls.append(sp)
+        return original(sp)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cv.Split, name)
+    monkeypatch.setattr(cv.Split, name, prop)
+    return calls
+
+
+@pytest.mark.parametrize("state", [
+    random_product_state(np.random.default_rng(53)),
+    random_grid_state(np.random.default_rng(53)),
+], ids=["separable", "entangled"])
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--routes", "A,B,C,Lambda,D,E"],
+    ["verify"],
+])
+def test_cli_forms_one_gram_matrix_and_one_svd(tmp_path, capsys, monkeypatch, argv, state):
+    path = tmp_path / "state.json"
+    save_grid_state(state, path)
+    grams, weights = count_forms(monkeypatch, "K"), count_forms(monkeypatch, "schmidt")
+    assert main([argv[0], str(path), "--M", "0", *argv[1:]]) == 0
+    assert (len(grams), len(weights)) == (1, 1)
+
+
+def test_library_forms_one_gram_matrix_and_one_svd_per_split(monkeypatch):
+    state = random_grid_state(np.random.default_rng(57))
+    grams, weights = count_forms(monkeypatch, "K"), count_forms(monkeypatch, "schmidt")
+    assert cv.run_verification(state, BP).overall
+    assert (len(grams), len(weights)) == (1, 1)
+    cv.concurrence_report(state, BP)
+    assert (len(grams), len(weights)) == (2, 2)
+    sp = cv.split(state, BP)
+    conc._report(sp, conc.DEFAULT_THRESHOLD, routes=conc.ROUTES)
+    conc._report(sp, conc.DEFAULT_THRESHOLD)
+    assert (len(grams), len(weights)) == (3, 3)
+    assert cv.decide_separability(state, BP).verdict == "entangled"
+    assert (len(grams), len(weights)) == (3, 4)
+
+
+def test_the_gram_matrix_and_schmidt_weights_are_read_only():
+    sp = cv.split(random_grid_state(np.random.default_rng(59)), BP)
+    assert sp.K is sp.K and sp.schmidt is sp.schmidt
+    with pytest.raises(ValueError):
+        sp.K[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sp.schmidt[0] = 0.0
 
 
 @pytest.mark.parametrize("state", [

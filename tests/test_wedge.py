@@ -85,6 +85,16 @@ def test_wedge_length_mismatch():
         lagrange_identity_gap([1.0, 2.0], [1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lagrange_identity_gap_refuses_non_finite_input(bad):
+    # A NaN weight passed the old "<= 0" test and the gap came back NaN.
+    ok = [1.0, 2.0, 3.0]
+    for f, g, w in [([1.0, bad, 3.0], ok, ok), (ok, [complex(0.0, bad), 0.0, 1.0], ok),
+                    (ok, [3.0, 1.0, 2.0], [1.0, bad, 1.0])]:
+        with pytest.raises(InputError):
+            lagrange_identity_gap(f, g, w)
+
+
 def test_p_norm_zero_bivector():
     norms = _norms([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], np.ones(3))
     for p in (1, 2, np.inf):
