@@ -120,7 +120,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_concurrence(args) -> int:
     from . import concurrence as conc
-    from .states import split
 
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
     if not wanted:
@@ -129,8 +128,7 @@ def cmd_concurrence(args) -> int:
         if name not in conc.ROUTES:
             raise ValueError(f"unknown route {name!r}")
     state, bipartition = _load_grid(args)
-    report = conc._report(split(state, bipartition), conc.DEFAULT_THRESHOLD,
-                          state.diagnostics.get("mass_defect", 0.0), wanted)
+    report = conc.concurrence_report(state, bipartition, routes=wanted)
     # The route keys first, then the report's fields but the threshold.
     out = {**report.routes, **vars(report)}
     del out["routes"], out["threshold"]

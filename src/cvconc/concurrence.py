@@ -141,20 +141,14 @@ class SeparabilityCertificate:
 def _schmidt_rank(weights: np.ndarray, threshold: float) -> int:
     """Number of Schmidt weights above the threshold, a finite number >= 0: a
     NaN threshold would call every state separable, a negative one entangled."""
+    # The verdict is this rank: every wedge coefficient vanishes exactly when
+    # G has Schmidt rank 1, so the state is entangled exactly when the second
+    # Schmidt weight sigma_2^2 exceeds the threshold, that is when the rank is
+    # at least 2. sigma_2^2 does not depend on the grid once the grid resolves
+    # the state.
     if not (isinstance(threshold, numbers.Real) and 0.0 <= threshold < np.inf):
         raise InputError(f"threshold must be a finite number >= 0, got {threshold!r}")
     return int(np.count_nonzero(weights > threshold))
-
-
-def _verdict(weights: np.ndarray, threshold: float) -> str:
-    """Schmidt-rank test on the Schmidt weights of G.
-
-    Every wedge coefficient vanishes exactly when G has Schmidt rank 1, so the
-    state is entangled exactly when the second Schmidt weight sigma_2^2
-    exceeds the threshold, that is when the rank above it is at least 2.
-    sigma_2^2 does not depend on the grid once the grid resolves the state.
-    """
-    return "entangled" if _schmidt_rank(weights, threshold) >= 2 else "separable"
 
 
 def _witness_quadruple(G: np.ndarray):
@@ -184,7 +178,7 @@ def _witness_quadruple(G: np.ndarray):
 
 
 def decide_separability(
-    state: GridState, bipartition: Bipartition, threshold: float = DEFAULT_THRESHOLD
+    state: GridState | Split, bipartition: Bipartition, threshold: float = DEFAULT_THRESHOLD
 ) -> SeparabilityCertificate:
     """Separability decision from the Schmidt weights, with witness or factors.
 
@@ -196,11 +190,13 @@ def decide_separability(
     maximal-norm reference slice and both factors are returned renormalized.
     """
     sp = split(state, bipartition)
-    member_axes = tuple(state.axes[k] for k in bipartition.members)
-    rest_axes = tuple(state.axes[k] for k in bipartition.complement)
+    if sp.axes is None:
+        raise InputError("a split without grid axes has no witness or factor states")
+    member_axes = tuple(sp.axes[k] for k in bipartition.members)
+    rest_axes = tuple(sp.axes[k] for k in bipartition.complement)
     m_shape = tuple(ax.points for ax in member_axes)
     r_shape = tuple(ax.points for ax in rest_axes)
-    if _verdict(sp.schmidt, threshold) == "entangled":
+    if _schmidt_rank(sp.schmidt, threshold) >= 2:
         (a, b, x, y), magnitude_sq = _witness_quadruple(sp.G)
         witness = EntanglementWitness(
             slice_pair=(
@@ -255,8 +251,11 @@ class ConcurrenceReport:
         return {**self.routes, "E2": self.E2}
 
 
-def _report(sp: Split, threshold, mass_defect=0.0, routes=DEFAULT_ROUTES) -> ConcurrenceReport:
+def concurrence_report(state: GridState | Split, bipartition: Bipartition,
+                       threshold: float = DEFAULT_THRESHOLD,
+                       routes=DEFAULT_ROUTES) -> ConcurrenceReport:
     """The answer from one SVD of the split, cross-checked by the named ROUTES."""
+    sp = split(state, bipartition)
     weights = sp.schmidt
     rank = _schmidt_rank(weights, threshold)
     e2 = 2.0 * (1.0 - float(weights @ weights))
@@ -268,17 +267,10 @@ def _report(sp: Split, threshold, mass_defect=0.0, routes=DEFAULT_ROUTES) -> Con
         schmidt_rank=rank,
         routes=values,
         max_pairwise_gap=max(spread) - min(spread),
-        verdict=_verdict(weights, threshold),
+        verdict="entangled" if rank >= 2 else "separable",
         threshold=threshold,
-        mass_defect=mass_defect,
+        mass_defect=sp.mass_defect,
     )
-
-
-def concurrence_report(
-    state: GridState, bipartition: Bipartition, threshold: float = DEFAULT_THRESHOLD
-) -> ConcurrenceReport:
-    """E2 from one SVD of the grid state, cross-checked by DEFAULT_ROUTES."""
-    return _report(split(state, bipartition), threshold, state.diagnostics.get("mass_defect", 0.0))
 
 
 def concurrence_gaussian_numeric(
@@ -290,5 +282,5 @@ def concurrence_gaussian_numeric(
     """Evaluate a Gaussian pure state on a product rule and report it; on the
     midpoint rule of a grid this is the report of the discretized state."""
     amp, defect = _sample(state, rule)
-    sp = Split.from_blocks(bipartition, *_blocks(amp, rule.weights, bipartition))
-    return _report(sp, threshold, mass_defect=defect)
+    sp = Split.from_blocks(bipartition, *_blocks(amp, rule.weights, bipartition), defect)
+    return concurrence_report(sp, bipartition, threshold)

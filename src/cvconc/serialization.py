@@ -22,12 +22,12 @@ def grid_state_to_dict(state: GridState) -> dict:
 def grid_state_from_dict(data: dict) -> GridState:
     try:
         axes = tuple(
-            GridAxis(float(ax["min"]), float(ax["max"]), int(ax["points"]))
+            GridAxis(float(ax["min"]), float(ax["max"]), ax["points"])
             for ax in data["axes"]
         )
         re = np.asarray(data["amplitudes_real"], dtype=float)
         im = np.asarray(data["amplitudes_imag"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed grid state file: {exc}")
     if re.shape != im.shape:
         raise InputError("real and imaginary amplitude lists differ in length")
@@ -46,8 +46,8 @@ def gaussian_from_dict(data: dict) -> GaussianPureState:
     try:
         re = np.asarray(data["A_real"], dtype=float)
         im = np.asarray(data["A_imag"], dtype=float)
-        n = int(data["n"])
-    except (KeyError, TypeError) as exc:
+        n = data["n"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed Gaussian state file: {exc}")
     if re.shape != (n, n) or im.shape != (n, n):
         raise InputError("precision matrix shape does not match n")
@@ -61,6 +61,8 @@ def load_state(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: a state file holds a JSON object, not {type(data).__name__}")
     if "axes" in data:
         return grid_state_from_dict(data)
     if "A_real" in data:

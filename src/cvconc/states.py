@@ -4,6 +4,7 @@ member and complement blocks that every concurrence route reads."""
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,6 +35,9 @@ class GridAxis:
             raise InputError(f"axis bounds must be finite, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise InputError(f"axis requires max > min, got [{self.min}, {self.max}]")
+        # int() would truncate 2.9 to 2 points, so a non-integral count is refused.
+        if not (isinstance(self.points, numbers.Real) and float(self.points).is_integer()):
+            raise InputError(f"axis points must be a whole number, got {self.points!r}")
         if int(self.points) < 2:
             raise InputError("axis requires at least 2 points")
         object.__setattr__(self, "points", int(self.points))
@@ -270,6 +274,12 @@ class Split:
     vectors, the entropy check takes eigvalsh of K so that it compares an
     independent spectrum with the SVD's, and the Hilbert-Schmidt identity
     check calls route D itself rather than reuse a report's value.
+
+    The split also carries what its state knew: axes, the GridAxis tuple of a
+    grid state (None for a split built from another product rule), which the
+    witness and the factors need; mass_defect, the probability mass lost when
+    a Gaussian was sampled (0 otherwise); and norm_squared, the weighted norm^2
+    of the amplitudes before the rescaling above.
     """
 
     bipartition: Bipartition
@@ -277,13 +287,16 @@ class Split:
     wm: np.ndarray
     wrest: np.ndarray
     G: np.ndarray
+    axes: tuple = None
+    mass_defect: float = 0.0
+    norm_squared: float = 1.0
 
     @classmethod
-    def from_blocks(cls, bipartition: Bipartition, F, wm, wrest) -> "Split":
+    def from_blocks(cls, bipartition: Bipartition, F, wm, wrest, mass_defect=0.0, axes=None):
         G = F * np.sqrt(np.outer(wm, wrest))
         norm = np.linalg.norm(G)
         G /= norm
-        return cls(bipartition, F / norm, wm, wrest, G)
+        return cls(bipartition, F / norm, wm, wrest, G, axes, mass_defect, float(norm) ** 2)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -307,4 +320,5 @@ def split(state: GridState | Split, bipartition: Bipartition) -> Split:
         if state.bipartition != bipartition:
             raise InputError(f"split is across {state.bipartition}, not {bipartition}")
         return state
-    return Split.from_blocks(bipartition, *block_matrix(state, bipartition))
+    return Split.from_blocks(bipartition, *block_matrix(state, bipartition),
+                             state.diagnostics.get("mass_defect", 0.0), state.axes)

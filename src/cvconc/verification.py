@@ -9,7 +9,7 @@ import numpy as np
 
 from . import concurrence as conc
 from . import spectral, transpose
-from .states import Bipartition, GridState, split
+from .states import Bipartition, GridState, Split, split
 from .wedge import lagrange_identity_gap
 
 SEPARABLE_E2 = 1e-10
@@ -43,11 +43,11 @@ class VerificationReport:
         return {"checks": self.checks, "overall": "pass" if self.overall else "fail"}
 
 
-def run_verification(state: GridState, bipartition: Bipartition) -> VerificationReport:
+def run_verification(state: GridState | Split, bipartition: Bipartition) -> VerificationReport:
     sp = split(state, bipartition)
     report = VerificationReport()
 
-    report.add("normalization", state.norm_squared - 1.0, 1e-9)
+    report.add("normalization", sp.norm_squared - 1.0, 1e-9)
 
     # Lagrange identity on the two largest member-block slices.
     F, wrest = sp.F, sp.wrest
@@ -58,7 +58,7 @@ def run_verification(state: GridState, bipartition: Bipartition) -> Verification
     report.add("lagrange_identity", gap, 1e-12)
 
     # E2 from one SVD, checked against all six routes.
-    answer = conc._report(sp, conc.DEFAULT_THRESHOLD, routes=conc.ROUTES)
+    answer = conc.concurrence_report(sp, bipartition, routes=conc.ROUTES)
     report.add("route_agreement", answer.max_pairwise_gap, 1e-9)
     e2 = answer.E2
 

@@ -65,6 +65,46 @@ def test_malformed_files_rejected(tmp_path):
         load_state(write_json(tmp_path / "odd.json", {"foo": 1}))
 
 
+GRID_AXES = [{"min": -1.0, "max": 1.0, "points": 2}] * 2
+
+
+@pytest.mark.parametrize("payload", [
+    5,
+    None,
+    [1, 2],
+    "axes",
+    {"axes": GRID_AXES, "amplitudes_real": [1.0] * 4, "amplitudes_imag": "ab"},
+    {"axes": GRID_AXES, "amplitudes_real": ["x"] * 4, "amplitudes_imag": [0.0] * 4},
+    {"axes": [{"min": "a", "max": 1.0, "points": 2}] * 2,
+     "amplitudes_real": [1.0] * 4, "amplitudes_imag": [0.0] * 4},
+    {"n": 2, "A_real": [["a", 0.0], [0.0, 1.0]], "A_imag": [[0.0, 0.0], [0.0, 0.0]]},
+    {"n": "two", "A_real": [[1.0, 0.0], [0.0, 1.0]], "A_imag": [[0.0, 0.0], [0.0, 0.0]]},
+], ids=["number", "null", "list", "string", "imag-text", "real-text", "min-text",
+        "A-text", "n-text"])
+def test_malformed_state_file_is_an_input_error(tmp_path, capsys, payload):
+    # A top level that is not an object raised TypeError at `"axes" in data`,
+    # and text where a number belongs leaked numpy's ValueError.
+    path = write_json(tmp_path / "bad.json", payload)
+    with pytest.raises(InputError):
+        load_state(path)
+    assert main(["concurrence", path, "--M", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_object_state_file_prints_no_traceback(tmp_path):
+    path = write_json(tmp_path / "five.json", 5)
+    package_root = os.path.dirname(os.path.dirname(cv.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "cvconc.cli", "concurrence", path, "--M", "0"],
+        capture_output=True, text=True,
+        env={"PATH": "", "CVCONC_THREADS": "1", "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_cmd_gaussian_separable(capsys):
     assert main(["gaussian", "--a", "1", "--b", "1", "--c", "0"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -485,7 +485,7 @@ def test_gram_routes_memory_on_the_smaller_side():
 @pytest.mark.parametrize("shape", [(1, 50), (50, 1), (2, 50)])
 def test_verdict_from_the_schmidt_weights_of_thin_splits(shape):
     # One row or column has one Schmidt weight: separable, where sigma_2 is absent.
-    weights = _random_split(shape, 3).schmidt
-    assert abs(weights.sum() - 1.0) < 1e-12
+    sp = _random_split(shape, 3)
+    assert abs(sp.schmidt.sum() - 1.0) < 1e-12
     expected = "entangled" if min(shape) > 1 else "separable"
-    assert cv.concurrence._verdict(weights, cv.concurrence.DEFAULT_THRESHOLD) == expected
+    assert cv.concurrence_report(sp, sp.bipartition).verdict == expected

@@ -176,8 +176,8 @@ def test_library_forms_one_gram_matrix_and_one_svd_per_split(monkeypatch):
     cv.concurrence_report(state, BP)
     assert (len(grams), len(weights)) == (2, 2)
     sp = cv.split(state, BP)
-    conc._report(sp, conc.DEFAULT_THRESHOLD, routes=conc.ROUTES)
-    conc._report(sp, conc.DEFAULT_THRESHOLD)
+    cv.concurrence_report(sp, BP, routes=conc.ROUTES)
+    cv.concurrence_report(sp, BP)
     assert (len(grams), len(weights)) == (3, 3)
     assert cv.decide_separability(state, BP).verdict == "entangled"
     assert (len(grams), len(weights)) == (3, 4)
@@ -251,8 +251,9 @@ def test_gaussian_numeric_on_the_midpoint_rule_is_the_grid_report():
     assert numeric.mass_defect > 0.0
 
 
-# Every public route and identity check, and the family at p = 1, 2 and inf,
-# as a function of (state or prepared split, bipartition).
+# Every public route and identity check, the family at p = 1, 2 and inf, and
+# the report with all six routes, as a function of (state or prepared split,
+# bipartition).
 SPLIT_CONSUMERS = {
     "route_A": cv.concurrence_route_A,
     "route_B": cv.concurrence_route_B,
@@ -267,6 +268,7 @@ SPLIT_CONSUMERS = {
     "family_p1": lambda s, bp: cv.family_measure(s, bp, "identity", 1, 1),
     "family_p2": lambda s, bp: cv.family_measure(s, bp, "identity", 2, 1),
     "family_pinf": lambda s, bp: cv.family_measure(s, bp, "identity", np.inf, 1),
+    "concurrence_report": lambda s, bp: cv.concurrence_report(s, bp, routes=conc.ROUTES),
 }
 
 
@@ -282,6 +284,70 @@ def test_a_prepared_split_gives_the_value_of_the_state(monkeypatch, name, shape,
     assert len(calls) == 0
     assert from_split == SPLIT_CONSUMERS[name](state, bp)
     assert len(calls) == 1
+
+
+def same_certificate(a, b):
+    """Equal verdicts, thresholds, witnesses and reconstruction errors, and
+    factor states with equal axes and array_equal amplitudes."""
+    factors = [(a.factor_m, b.factor_m), (a.factor_rest, b.factor_rest)]
+    return (
+        (a.verdict, a.threshold, a.witness, a.reconstruction_error)
+        == (b.verdict, b.threshold, b.witness, b.reconstruction_error)
+        and all((x is None and y is None) or (
+            x.axes == y.axes and np.array_equal(x.amplitudes, y.amplitudes))
+            for x, y in factors)
+    )
+
+
+def verification_rows(report):
+    """Each check but its wall time."""
+    return [(c["name"], c["measured"], c["tolerance"], c["passed"]) for c in report.checks]
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["entangled", "separable"])
+@pytest.mark.parametrize("shape, members", [((9, 7), (0,)), ((5, 4, 6), (0, 2))],
+                         ids=["2-mode", "3-mode-0,2"])
+def test_a_prepared_split_gives_the_certificate_and_checks_of_the_state(
+        monkeypatch, product, shape, members):
+    # These read the state's axes and stored norm, which a Split carries.
+    state = shaped_state(np.random.default_rng(79), shape, product=product)
+    bp = Bipartition(len(shape), members)
+    sp = cv.split(state, bp)
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    cert, checks = cv.decide_separability(sp, bp), cv.run_verification(sp, bp)
+    assert len(calls) == 0
+    assert cert.verdict == ("separable" if product else "entangled")
+    assert same_certificate(cert, cv.decide_separability(state, bp))
+    assert verification_rows(checks) == verification_rows(cv.run_verification(state, bp))
+    assert len(calls) == 2
+
+
+def test_a_split_carries_what_its_state_knew():
+    state = off_norm_state()
+    sp = cv.split(state, BP)
+    assert sp.axes == state.axes and sp.mass_defect == 0.0
+    assert abs(sp.norm_squared - state.norm_squared) < 1e-15
+    checks = {c["name"]: c for c in cv.run_verification(sp, BP).checks}
+    assert abs(checks["normalization"]["measured"] - 5e-10) < 1e-15
+    spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
+    with pytest.warns(cv.TruncationWarning):
+        narrow = cv.discretize(spec, [GridAxis(-1.5, 1.5, 16)] * 2)
+    sp = cv.split(narrow, BP)
+    assert sp.mass_defect == narrow.diagnostics["mass_defect"] > 1e-3
+    assert cv.concurrence_report(sp, BP).mass_defect == sp.mass_defect
+
+
+def test_a_split_without_axes_has_no_certificate(monkeypatch):
+    # The shapes of the witness and the factors come from the axes, so a split
+    # from another product rule is refused before its SVD.
+    F, wm, wrest = cv.states.block_matrix(random_product_state(np.random.default_rng(83)), BP)
+    sp = cv.Split.from_blocks(BP, F, wm, wrest)
+    assert sp.axes is None
+    weights = count_forms(monkeypatch, "schmidt")
+    with pytest.raises(cv.InputError):
+        cv.decide_separability(sp, BP)
+    assert len(weights) == 0
+    assert cv.concurrence_report(sp, BP).verdict == "separable"
 
 
 def test_a_split_across_another_bipartition_is_refused():

@@ -1,10 +1,14 @@
 """State representations: grid axes, grid states, Gaussian states and
 bipartitions."""
 
+import json
+
 import numpy as np
 import pytest
 
 import cvconc as cv
+import cvconc.cli
+import cvconc.serialization
 from cvconc import (
     Bipartition,
     GaussianPureState,
@@ -29,6 +33,43 @@ def test_axis_validation():
         GridAxis(1.0, 1.0, 4)
     with pytest.raises(InputError):
         GridAxis(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("points", [2.9, 4.5, np.nan, np.inf, "4", None, 3 + 0j])
+def test_axis_points_must_be_whole(points):
+    # int() truncated 2.9 to 2 points without a word.
+    with pytest.raises(InputError, match="whole number"):
+        GridAxis(0.0, 1.0, points)
+
+
+@pytest.mark.parametrize("points", [4, 4.0, np.int64(4), np.float64(4.0)])
+def test_axis_accepts_whole_point_counts(points):
+    ax = GridAxis(0.0, 1.0, points)
+    assert ax.points == 4 and type(ax.points) is int
+
+
+def test_state_file_with_fractional_points_is_refused(tmp_path):
+    # 2.9 points read as 2 and then failed the norm check (exit 2), which
+    # pointed at the amplitudes rather than the axis.
+    payload = {
+        "axes": [{"min": 0.0, "max": 1.0, "points": 2.9}, {"min": 0.0, "max": 1.0, "points": 2}],
+        "amplitudes_real": [1.0, 0.0, 0.0, 1.0],
+        "amplitudes_imag": [0.0] * 4,
+    }
+    with pytest.raises(InputError, match="whole number"):
+        cv.serialization.grid_state_from_dict(payload)
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError, match="whole number"):
+        cv.serialization.load_state(path)
+    assert cv.cli.main(["concurrence", str(path), "--M", "0"]) == 1
+
+
+def test_gaussian_file_with_fractional_n_is_refused():
+    payload = {"n": 2.5, "A_real": [[1.0, 0.0], [0.0, 1.0]], "A_imag": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(InputError):
+        cv.serialization.gaussian_from_dict(payload)
+    assert cv.serialization.gaussian_from_dict({**payload, "n": 2.0}).n == 2
 
 
 def test_grid_state_norm_enforced():
