@@ -124,9 +124,7 @@ def cmd_concurrence(args) -> int:
     wanted = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
     if not wanted:
         raise ValueError("no route given; --routes takes a subset of " + ",".join(conc.ROUTES))
-    for name in wanted:
-        if name not in conc.ROUTES:
-            raise ValueError(f"unknown route {name!r}")
+    conc._check_routes(wanted)
     state, bipartition = _load_grid(args)
     report = conc.concurrence_report(state, bipartition, routes=wanted)
     # The route keys first, then the report's fields but the threshold.

@@ -12,7 +12,7 @@ from . import spectral, transpose
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
-from .wedge import _pair_matrix, _pairs, _wedge_chunks
+from .wedge import _wedge_blocks
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -25,7 +25,7 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     the sum runs over the minors a < b, x < y of the wedge kernel, times 4.
     The name stays because bench/tracer.py counts route A's quadruples by it.
     """
-    return 4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G))
+    return 4.0 * sum(np.vdot(d, d).real for _, _, chunks in _wedge_blocks(G) for _, _, d in chunks)
 
 
 # Every route: name -> (output key, function of a Split). Each entry looks
@@ -43,6 +43,16 @@ ROUTES = {
 }
 # A report's cross-checks unless others are named: each reads the split's one K.
 DEFAULT_ROUTES = ("B", "C", "Lambda")
+
+
+def _check_routes(routes):
+    """Refuse route names outside ROUTES, and a bare string, which would
+    otherwise be read letter by letter, before any work."""
+    if isinstance(routes, str):
+        raise InputError(f"routes must be a sequence of route names, not the string {routes!r}")
+    for name in routes:
+        if name not in ROUTES:
+            raise InputError(f"unknown route {name!r}")
 
 
 def concurrence_route_A(state: GridState | Split, bipartition: Bipartition) -> float:
@@ -96,7 +106,17 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
     func = _resolve_f(f)
     sp = split(state, bipartition)
     F, wm, wrest = sp.F, sp.wm, sp.wrest
-    if p == 2:
+    if p == 1 or p == np.inf or p == "inf":
+        # The column pairs of F^T are the slice pairs a < b, and each block
+        # reduces |D| over every complement pair x < y before f sees the norm;
+        # rows of (F w_rest)^T weight D by w_x w_y. The pairs b < a double the
+        # sum, and a = b adds nothing because every preset has f(0) = 0.
+        ufunc = np.add if p == 1 else np.maximum
+        integral = 0.0
+        for a, b, chunks in _wedge_blocks((F * wrest).T if p == 1 else F.T):
+            norms = ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
+            integral += 2.0 * float((wm[a] * wm[b]) @ func(norms))
+    elif p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
         overlaps = (F * wrest) @ F.conj().T
         outer = np.outer(row_norms, row_norms)
@@ -107,15 +127,9 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
         # is 0, though on long rows its round-off can exceed the cutoff.
         norm_sq[norm_sq <= 8.0 * np.finfo(float).eps * outer] = 0.0
         np.fill_diagonal(norm_sq, 0.0)
-        norms = np.sqrt(norm_sq)
-    elif p == 1:
-        # Rows of F w_rest weight D by w_x w_y; the kernel sums the pairs y > x.
-        norms = _pair_matrix(F * wrest, np.add)
-    elif p == np.inf or p == "inf":
-        norms = _pair_matrix(F, np.maximum)
+        integral = float(wm @ func(np.sqrt(norm_sq)) @ wm)
     else:
         raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
-    integral = float(wm @ func(norms) @ wm)
     return integral ** (1.0 / q)
 
 
@@ -158,23 +172,22 @@ def _witness_quadruple(G: np.ndarray):
 
     a is the row of largest norm; b maximizes the wedge norm
     |G_a|^2 |G_b|^2 - |<G_a, G_b>|^2 (Lagrange identity); (x, y), x < y, is the
-    first largest |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 in the kernel's row-major
-    walk over the column pairs of [G_a; G_b].
+    first largest |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 in the kernel's walk over
+    the column pairs of [G_a; G_b].
     """
     norms = np.sum(np.abs(G) ** 2, axis=1)
     a = int(np.argmax(norms))
     overlaps = G @ G[a].conj()
     b = int(np.argmax(norms[a] * norms - np.abs(overlaps) ** 2))
-    best, k, start = -1.0, 0, 0
-    # One row pair, so each chunk is one block of consecutive column pairs.
-    for _, _, d in _wedge_chunks(G[[a, b]]):
+    best = -1.0
+    for x, y, chunks in _wedge_blocks(G[[a, b]]):
+        # One row pair, so the block is one chunk over its column pairs (x, y).
+        _, _, d = next(chunks)
         mag = np.abs(d[0]) ** 2
         j = int(np.argmax(mag))
         if mag[j] > best:
-            best, k = float(mag[j]), start + j
-        start += mag.size
-    x, y = _pairs(G.shape[1], k, k + 1)
-    return (a, b, int(x[0]), int(y[0])), best
+            best, quad = float(mag[j]), (a, b, int(x[j]), int(y[j]))
+    return quad, best
 
 
 def decide_separability(
@@ -255,6 +268,7 @@ def concurrence_report(state: GridState | Split, bipartition: Bipartition,
                        threshold: float = DEFAULT_THRESHOLD,
                        routes=DEFAULT_ROUTES) -> ConcurrenceReport:
     """The answer from one SVD of the split, cross-checked by the named ROUTES."""
+    _check_routes(routes)
     sp = split(state, bipartition)
     weights = sp.schmidt
     rank = _schmidt_rank(weights, threshold)

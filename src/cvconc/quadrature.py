@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InputError, NumericError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductRule:
     """Per-axis node and weight lists defining a tensor-product quadrature."""
 

@@ -55,7 +55,7 @@ class GridAxis:
         return np.full(self.points, self.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridState:
     """A dense complex wavefunction sampled on a product of GridAxis nodes.
 
@@ -65,7 +65,7 @@ class GridState:
 
     axes: tuple
     amplitudes: np.ndarray
-    diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
+    diagnostics: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         axes = tuple(self.axes)
@@ -121,7 +121,7 @@ class GridState:
         return cls(axes, amp / np.sqrt(mass), diagnostics or {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPureState:
     """Pure Gaussian wavefunction N * exp(-x^T A x / 2) with complex symmetric
     precision matrix A whose real part is positive-definite."""
@@ -254,7 +254,7 @@ def block_matrix(state: GridState, bipartition: Bipartition):
     return _blocks(state.amplitudes, [ax.weights for ax in state.axes], bipartition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
     """A state prepared once for a bipartition; every route and check reads it.
 
@@ -270,8 +270,8 @@ class Split:
     weights sigma_i^2, descending, from one values-only SVD of G. Both are
     formed on first read, cached on the split and read-only, so every route,
     check and report reads the same arrays. Three readers stay apart on
-    purpose: the PPT certificate takes its own full SVD for the singular
-    vectors, the entropy check takes eigvalsh of K so that it compares an
+    purpose: the entangled side's PPT certificate takes its own full SVD for
+    the singular vectors, the entropy check takes eigvalsh of K so that it compares an
     independent spectrum with the SVD's, and the Hilbert-Schmidt identity
     check calls route D itself rather than reuse a report's value.
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
 from .states import Bipartition, GaussianPureState, GridState, Split, split
-from .wedge import _CHUNK_BUDGET, _wedge_chunks
+from .wedge import _CHUNK_BUDGET, _wedge_blocks
 
 # Edge cap of the one dense operator over the linearized grid, the matrix
 # build_rho_pt returns; every other check applies the partial transpose
@@ -58,7 +58,7 @@ class LambdaPermutation:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Square matrix over linearized grid indices in the symmetric
     sqrt-weight convention, so plain traces equal weighted kernel traces."""
@@ -93,7 +93,8 @@ def lambda_invariance_gap(state: GridState | Split, bipartition: Bipartition) ->
     # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d],
     # so the gap is the largest wedge coefficient over the row pairs of F.
     F = split(state, bipartition).F
-    return float(max((np.abs(d).max() for _, _, d in _wedge_chunks(F)), default=0.0))
+    return float(max((np.abs(d).max() for _, _, chunks in _wedge_blocks(F) for _, _, d in chunks),
+                     default=0.0))
 
 
 def _pt_matrix(G: np.ndarray) -> np.ndarray:
@@ -185,31 +186,22 @@ def concurrence_route_E(state: GridState | Split, bipartition: Bipartition) -> f
     return float(2.0 * (1.0 - small * np.sqrt(large)))
 
 
-def _ppt_bounds(G: np.ndarray) -> tuple:
-    """(lower, upper) bounds on the smallest eigenvalue of rho_PT from one SVD
-    G = U diag(s) Vh; the spectrum is {s_i^2, +-s_i s_j} (Vidal & Werner 2002).
-
-    upper is the Rayleigh quotient, under _pt_matvec, of the certificate
-    (u_1 (x) conj(vh_2) - u_2 (x) conj(vh_1)) / sqrt(2), an eigenvector with
-    eigenvalue -s_1 s_2; by Rayleigh-Ritz it bounds lambda_min from above.
-    lower is -2 (sum_{i>=2} s_i^2)^(1/2): the partial transpose of the rank-1
-    truncation is PSD and lies within 2 ||G - G_1||_F in the Frobenius norm,
-    so Weyl's inequality bounds lambda_min from below. With one row or column
-    rho_PT is PSD of rank 1, and its minimum is 0.
-    """
-    if min(G.shape) == 1:
-        return 0.0, 0.0
-    U, s, Vh = np.linalg.svd(G, full_matrices=False)
-    v = (np.outer(U[:, 0], Vh[1].conj()) - np.outer(U[:, 1], Vh[0].conj())) / np.sqrt(2.0)
-    upper = float(np.vdot(v, _pt_matvec(G, v, G.conj())).real)
-    lower = -2.0 * float(np.sqrt(np.sum(s[1:] ** 2)))
-    return lower, upper
-
-
 def ppt_min_eigenvalue(state: GridState | Split, bipartition: Bipartition) -> float:
     """Smallest eigenvalue of the partial transpose: the Rayleigh quotient of
-    its SVD certificate, -s_1 s_2 to round-off."""
-    return _ppt_bounds(split(state, bipartition).G)[1]
+    its SVD certificate, -s_1 s_2 to round-off.
+
+    With G = U diag(s) Vh the spectrum is {s_i^2, +-s_i s_j} (Vidal & Werner
+    2002), and (u_1 (x) conj(vh_2) - u_2 (x) conj(vh_1)) / sqrt(2) is an
+    eigenvector with eigenvalue -s_1 s_2; by Rayleigh-Ritz its quotient under
+    _pt_matvec bounds lambda_min from above. With one row or column rho_PT is
+    PSD of rank 1, and its minimum is 0.
+    """
+    G = split(state, bipartition).G
+    if min(G.shape) == 1:
+        return 0.0
+    U, _, Vh = np.linalg.svd(G, full_matrices=False)
+    v = (np.outer(U[:, 0], Vh[1].conj()) - np.outer(U[:, 1], Vh[0].conj())) / np.sqrt(2.0)
+    return float(np.vdot(v, _pt_matvec(G, v, G.conj())).real)
 
 
 def wigner_gaussian(state: GaussianPureState, x, p):

@@ -77,15 +77,18 @@ def run_verification(state: GridState | Split, bipartition: Bipartition) -> Veri
         report.add("entropy_vanishes_when_separable", entropy, 1e-9)
 
     # Between the two thresholds no PPT check is reported, so none is solved.
-    # The separable side reports the proven lower bound on the PPT minimum,
-    # the entangled side the certificate's upper bound.
+    # The separable side reports the proven lower bound -2 (sum_{i>=2}
+    # s_i^2)^(1/2) on the PPT minimum: the partial transpose of the rank-1
+    # truncation G_1 is PSD and lies within 2 ||G - G_1||_F in the Frobenius
+    # norm, so Weyl's inequality bounds the minimum from below. The entangled
+    # side reports the certificate's upper bound.
     if e2 < SEPARABLE_E2:
-        lower, _ = transpose._ppt_bounds(sp.G)
+        lower = -2.0 * float(np.sqrt(np.sum(sp.schmidt[1:])))
         report.add("ppt_positive_for_separable", lower, 1e-8, passed=lower >= -1e-8)
         report.add("lambda_invariance_for_separable",
                    transpose.lambda_invariance_gap(sp, bipartition), 1e-9)
     elif e2 > ENTANGLED_E2:
-        _, upper = transpose._ppt_bounds(sp.G)
+        upper = transpose.ppt_min_eigenvalue(sp, bipartition)
         report.add("ppt_negative_for_entangled", upper, 1e-6, passed=upper < -1e-6)
 
     return report

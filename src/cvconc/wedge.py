@@ -1,6 +1,6 @@
-"""Wedge coefficients on discretized function spaces: `_wedge_chunks`, the one
-kernel forming each 2x2 minor of a matrix once, for route A, the family, the
-Lambda gap, the witness and the extended Lagrange identity's check."""
+"""Wedge coefficients on discretized function spaces: `_wedge_blocks`, the one
+kernel forming each 2x2 minor of a matrix once, block of column pairs by block,
+for route A, the family, the Lambda gap, the witness and the Lagrange check."""
 
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ def _minors(buf, X, Y, a, b, n):
     return d
 
 
-def _wedge_chunks(M: np.ndarray):
-    """Yield (a, b, D), D[p, k] = M[a_p, x_k] M[b_p, y_k] - M[a_p, y_k] M[b_p, x_k]:
-    every 2x2 minor of M (rows a < b, columns x < y) once, in column-pair blocks
-    X = M[:, x], Y = M[:, y]. Row pairs (a, a + s) of one offset s are the slices
-    X[:-s], Y[s:] while many; the far offsets go as gathered index arrays. A row
-    pair meets its column pairs x < y in row-major order, numbered as in _pairs.
-    D is a buffer the next chunk overwrites; reduce it before the next."""
+def _wedge_blocks(M: np.ndarray):
+    """Yield (x, y, chunks) per block of column pairs x < y of M, numbered as in
+    _pairs; chunks yields (a, b, D), D[p, k] = M[a_p, x_k] M[b_p, y_k] - M[a_p, y_k] M[b_p, x_k],
+    for every row pair a < b before the next block starts: each 2x2 minor once.
+    Row pairs (a, a + s) of one offset s are the slices X[:-s], Y[s:] of
+    X = M[:, x], Y = M[:, y] while many; the far offsets go as gathered index
+    arrays. D is a buffer the next chunk overwrites; reduce it before the next."""
     M = np.asarray(M, dtype=complex)  # the gathers write into complex buffers
     rows, cols = M.shape
     ncp = cols * (cols - 1) // 2
@@ -58,8 +58,8 @@ def _wedge_chunks(M: np.ndarray):
     width = -(-ncp // blocks)
     buf = np.empty((3, min(size, rows * (rows - 1) // 2 * width)), dtype=complex)
     idx = np.arange(rows)
-    for c0 in range(0, ncp, width):
-        x, y = _pairs(cols, c0, min(c0 + width, ncp))
+
+    def chunks(x, y):
         X, Y = np.take(M, x, axis=1), np.take(M, y, axis=1)
         # Offsets below near have at least _LONG_RUN / x.size row pairs.
         near = max(1, rows + 1 - -(-_LONG_RUN // x.size))
@@ -72,14 +72,9 @@ def _wedge_chunks(M: np.ndarray):
             b += near - 1
             yield a, b, _minors(buf, X, Y, a, b, a.size)
 
-
-def _pair_matrix(M: np.ndarray, ufunc) -> np.ndarray:
-    """Symmetric matrix of ufunc.reduce(|D|) (np.add or np.maximum) over the
-    column pairs x < y, per row pair of M, combined across column blocks."""
-    out = np.zeros((M.shape[0], M.shape[0]))
-    for a, b, d in _wedge_chunks(M):
-        out[a, b] = ufunc(out[a, b], ufunc.reduce(np.abs(d), axis=1))
-    return out + out.T
+    for c0 in range(0, ncp, width):
+        x, y = _pairs(cols, c0, min(c0 + width, ncp))
+        yield x, y, chunks(x, y)
 
 
 def lagrange_identity_gap(f, g, weights) -> float:
@@ -102,5 +97,6 @@ def lagrange_identity_gap(f, g, weights) -> float:
     lhs = nf * ng - abs(ip) ** 2
     # The one row pair of [f; g] sqrt(w) has the minors (f_i g_j - f_j g_i) sqrt(w_i w_j).
     rows = np.stack([f, g]) * np.sqrt(w)
-    rhs = float(sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(rows)))
+    rhs = float(sum(np.vdot(d, d).real
+                    for _, _, chunks in _wedge_blocks(rows) for _, _, d in chunks))
     return lhs - rhs

@@ -207,6 +207,7 @@ def route_d_kernel(G):
     G[a,b] G[c,d] - G[c,b] G[a,d]: the 2x2 minors of G, formed by the wedge
     kernel with the column pairs (b, d) as the row pairs of G^T. Pairs with
     b = d or a = c vanish and swaps keep |entry|, hence 4."""
-    from cvconc.wedge import _wedge_chunks
+    from cvconc.wedge import _wedge_blocks
 
-    return 4.0 * sum(np.vdot(d, d).real for _, _, d in _wedge_chunks(G.T))
+    return 4.0 * sum(np.vdot(d, d).real
+                     for _, _, chunks in _wedge_blocks(G.T) for _, _, d in chunks)

@@ -385,9 +385,9 @@ WEDGE_CONSUMERS = {
     "A": (concurrence_route_A, oracles.direct_concurrence, False),
     "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, False),
     "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
-                  lambda s, bp: oracles.family_p_norm(s, bp, 1), False),
+                  lambda s, bp: oracles.family_p_norm(s, bp, 1), True),
     "family_pinf": (lambda s, bp: family_measure(s, bp, "identity", np.inf, 1),
-                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), False),
+                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), True),
 }
 
 
@@ -407,17 +407,21 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     budget = 3 * ncolpairs * (npairs // 3 + 1)
     monkeypatch.setattr(wedge, "_CHUNK_BUDGET", budget)
     chunk_sizes = []
-    original = wedge._wedge_chunks
+    original = wedge._wedge_blocks
 
-    def recording_chunks(M):
-        assert M.shape == (rows, cols)
-        for a, b, d in original(M):
+    def recording_chunks(chunks):
+        for a, b, d in chunks:
             chunk_sizes.append(d.size)
             yield a, b, d
 
+    def recording_blocks(M):
+        assert M.shape == (rows, cols)
+        for x, y, chunks in original(M):
+            yield x, y, recording_chunks(chunks)
+
     for modname, mod in list(sys.modules.items()):
-        if modname.split(".")[0] == "cvconc" and vars(mod).get("_wedge_chunks") is original:
-            monkeypatch.setattr(mod, "_wedge_chunks", recording_chunks)
+        if modname.split(".")[0] == "cvconc" and vars(mod).get("_wedge_blocks") is original:
+            monkeypatch.setattr(mod, "_wedge_blocks", recording_blocks)
     value = func(state, bp)
     monkeypatch.undo()
     assert len(chunk_sizes) >= 3

@@ -14,7 +14,7 @@ from cvconc import Bipartition, GaussianPureState, GridAxis, GridState, transpos
 from cvconc.verification import run_verification
 
 import oracles
-from conftest import random_grid_state, random_product_state
+from conftest import random_grid_state, random_product_state, raw_split
 
 BP = Bipartition(2, (0,))
 
@@ -83,7 +83,11 @@ CERTIFICATE_IDS = SPLIT_IDS + ["product", "product-3-mode", "bell-like", "1xn", 
 @pytest.mark.parametrize("G", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_ppt_certificate_and_bound_against_dense_minimum(G):
     dense = oracles.dense_ppt_min(G)
-    lower, upper = transpose._ppt_bounds(G)
+    sp = raw_split(G)
+    upper = cv.ppt_min_eigenvalue(sp, sp.bipartition)
+    # The bound that verify reports on the separable side, from the Schmidt
+    # weights sigma_i^2 of the split.
+    lower = -2.0 * float(np.sqrt(np.sum(sp.schmidt[1:])))
     assert abs(upper - dense) < 1e-12
     # The lower bound is proven; allow only round-off of the dense solve.
     assert lower <= dense + 1e-14

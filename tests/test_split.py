@@ -387,3 +387,18 @@ def test_routes_and_verify_call_the_public_functions(monkeypatch, state):
     assert counts == expected
     for seen in calls.values():
         assert all(isinstance(args[0], cv.Split) for args in seen)
+
+
+@pytest.mark.parametrize("routes,message", [
+    (("X",), "unknown route 'X'"),
+    # A bare string was read letter by letter: "BC" ran B and C, and
+    # "Lambda" failed with KeyError: 'L'.
+    ("BC", "not the string 'BC'"),
+    ("Lambda", "not the string 'Lambda'"),
+])
+def test_report_refuses_bad_route_names_before_any_work(monkeypatch, routes, message):
+    state = random_grid_state(np.random.default_rng(37))
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    with pytest.raises(cv.InputError, match=message):
+        cv.concurrence_report(state, BP, routes=routes)
+    assert calls == []

@@ -253,3 +253,32 @@ def test_axis_permutation_leaves_concurrence_unchanged():
         e2 = cv.concurrence_route_B(state, bp)
         e2_perm = cv.concurrence_route_B(permuted, bp_perm)
         assert abs(e2 - e2_perm) < 1e-12
+
+
+def _array_holders():
+    """A maker of each type that holds numpy arrays, directly or through a
+    field, on one 6^2 product state."""
+    rng = np.random.default_rng(41)
+    f, g = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    state = GridState.from_amplitudes((GridAxis(-3.0, 3.0, 6),) * 2, np.outer(f, g))
+    bp = Bipartition(2, (0,))
+    return {
+        "GridState": lambda: GridState(state.axes, state.amplitudes),
+        "Split": lambda: cv.split(state, bp),
+        "GaussianPureState": lambda: GaussianPureState(np.eye(2, dtype=complex)),
+        "ProductRule": lambda: cv.midpoint_rule(state.axes),
+        "DiscreteOperator": lambda: cv.build_rho_pt(state, bp),
+        "ReducedDensity": lambda: cv.reduce(state, bp),
+        "SeparabilityCertificate": lambda: cv.decide_separability(state, bp),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # The generated __eq__ compared the arrays with == and raised "truth value
+    # of an array is ambiguous"; these types compare and hash by identity.
+    make = _array_holders()[name]
+    x, y = make(), make()
+    assert (x == x) is True and (x != x) is False
+    assert (x == y) is False and (x != y) is True
+    assert hash(x) == hash(x)

@@ -47,9 +47,14 @@ def test_random_states_pass_every_check():
 
 
 def test_separable_state_gets_extra_checks():
-    report = run_verification(random_product_state(np.random.default_rng(103)), BP)
+    state = random_product_state(np.random.default_rng(103))
+    report = run_verification(state, BP)
     names = [c["name"] for c in report.checks]
     assert report.overall
+    # The PPT lower bound is read from the split's Schmidt weights sigma_i^2
+    # (test_matrix_free.py checks it against the dense minimum).
+    ppt = next(c for c in report.checks if c["name"] == "ppt_positive_for_separable")
+    assert ppt["measured"] == -2.0 * float(np.sqrt(np.sum(split(state, BP).schmidt[1:])))
     assert "entropy_vanishes_when_separable" in names
     assert "ppt_positive_for_separable" in names
     assert "lambda_invariance_for_separable" in names
@@ -71,10 +76,10 @@ def test_ppt_minimum_solved_only_when_reported(monkeypatch):
     state = discretize(spec, [GridAxis(-8.0, 8.0, 32)] * 2)
     assert SEPARABLE_E2 < concurrence_route_B(state, BP) < ENTANGLED_E2
 
-    def refuse(G):
+    def refuse(*args):
         raise AssertionError("the PPT minimum was solved but is not reported")
 
-    monkeypatch.setattr(transpose, "_ppt_bounds", refuse)
+    monkeypatch.setattr(transpose, "ppt_min_eigenvalue", refuse)
     report = run_verification(state, BP)
     assert report.overall
     assert not any(c["name"].startswith("ppt_") for c in report.checks)
@@ -111,18 +116,18 @@ def test_smaller_block_entropy_and_purity_match_the_member_block(shape):
 
 
 def _record_wedge_shapes(monkeypatch) -> list:
-    """Wrap _wedge_chunks in every cvconc module that holds it; the returned
+    """Wrap _wedge_blocks in every cvconc module that holds it; the returned
     list collects the shape of each matrix it is called on."""
     shapes = []
-    original = sys.modules["cvconc.wedge"]._wedge_chunks
+    original = sys.modules["cvconc.wedge"]._wedge_blocks
 
     def recording(M):
         shapes.append(np.shape(M))
         return original(M)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "cvconc" and vars(mod).get("_wedge_chunks") is original:
-            monkeypatch.setattr(mod, "_wedge_chunks", recording)
+        if name.split(".")[0] == "cvconc" and vars(mod).get("_wedge_blocks") is original:
+            monkeypatch.setattr(mod, "_wedge_blocks", recording)
     return shapes
 
 

@@ -31,22 +31,35 @@ def _weighted_norms(f, g, w):
     return nf, ng, ip
 
 
+def _minor_chunks(M):
+    """(a, b, D) of every chunk of the kernel on M, block by block."""
+    for _, _, chunks in KERNEL._wedge_blocks(M):
+        yield from chunks
+
+
 def _wedge(f, g):
     """The coefficients f_x g_y - f_y g_x, x < y, in pair order: the one row
     pair of the kernel on the 2-row matrix [f; g]."""
-    return np.concatenate([d[0].copy() for _, _, d in KERNEL._wedge_chunks(np.stack([f, g]))])
+    return np.concatenate([d[0].copy() for _, _, d in _minor_chunks(np.stack([f, g]))])
+
+
+def _column_pair_norms(M, ufunc):
+    """ufunc.reduce(|D|) over every row pair of M per column pair x < y, as
+    family_measure reduces the chunks of each block of F^T."""
+    return np.concatenate([ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
+                           for _, _, chunks in KERNEL._wedge_blocks(M)])
 
 
 def _norms(f, g, w):
     """Weighted 1-, 2- and inf-norms of the wedge of f and g as the package
-    forms them: _pair_matrix on the rows f w, g w (family p = 1) and on f, g
-    (p = inf, unweighted), and the kernel's sum of |D|^2 on the rows f sqrt(w),
-    g sqrt(w) (the Lagrange check)."""
+    forms them: the one column pair of the kernel on the columns f w, g w
+    (family p = 1) and on f, g (p = inf, unweighted), and the kernel's sum of
+    |D|^2 on the rows f sqrt(w), g sqrt(w) (the Lagrange check)."""
     F = np.stack([np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)])
     w = np.asarray(w, dtype=float)
-    one = KERNEL._pair_matrix(F * w, np.add)[0, 1]
-    two = np.sqrt(sum(np.vdot(d, d).real for _, _, d in KERNEL._wedge_chunks(F * np.sqrt(w))))
-    inf = KERNEL._pair_matrix(F, np.maximum)[0, 1]
+    one = _column_pair_norms((F * w).T, np.add)[0]
+    two = np.sqrt(sum(np.vdot(d, d).real for _, _, d in _minor_chunks(F * np.sqrt(w))))
+    inf = _column_pair_norms(F.T, np.maximum)[0]
     return {1: one, 2: two, np.inf: inf}
 
 
@@ -179,20 +192,26 @@ def test_wedge_consumers_hold_a_bounded_chunk(consumer):
 @pytest.mark.parametrize("budget", [2, 16, 60, 32_768])
 def test_kernel_forms_every_minor_once(monkeypatch, budget, long_run):
     # Integer entries make every minor exact: each row pair a < b must meet
-    # each column pair x < y once, with its value, in the order x < y.
+    # each column pair x < y once, with its value, in the order x < y, and
+    # every row pair must meet a block's column pairs before the next block.
     monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(KERNEL, "_LONG_RUN", long_run)
     rng = np.random.default_rng(6)
     M = rng.integers(-9, 10, size=(5, 7)) + 1j * rng.integers(-9, 10, size=(5, 7))
     expected = {
-        (a, b): [M[a, x] * M[b, y] - M[a, y] * M[b, x] for x in range(7) for y in range(x + 1, 7)]
+        (a, b): [(x, y, M[a, x] * M[b, y] - M[a, y] * M[b, x])
+                 for x in range(7) for y in range(x + 1, 7)]
         for a in range(5) for b in range(a + 1, 5)
     }
     got = {pair: [] for pair in expected}
-    for a, b, d in KERNEL._wedge_chunks(M):
-        assert d.size <= max(budget // 3, 4)
-        for pair, row in zip(zip(a.tolist(), b.tolist()), d):
-            got[pair].extend(row.tolist())
+    for x, y, chunks in KERNEL._wedge_blocks(M):
+        met = []
+        for a, b, d in chunks:
+            assert d.size <= max(budget // 3, 4)
+            for pair, row in zip(zip(a.tolist(), b.tolist()), d):
+                met.append(pair)
+                got[pair].extend(zip(x.tolist(), y.tolist(), row.tolist()))
+        assert sorted(met) == sorted(expected)
     assert got == expected
 
 
@@ -200,15 +219,17 @@ def test_kernel_takes_real_matrices(monkeypatch):
     # Real input goes through the same complex buffers, gathered path included.
     monkeypatch.setattr(KERNEL, "_LONG_RUN", 10**6)
     M = np.arange(35.0).reshape(5, 7) ** 1.5
-    real = [d.copy() for _, _, d in KERNEL._wedge_chunks(M)]
-    cast = [d.copy() for _, _, d in KERNEL._wedge_chunks(M.astype(complex))]
+    real = [d.copy() for _, _, d in _minor_chunks(M)]
+    cast = [d.copy() for _, _, d in _minor_chunks(M.astype(complex))]
     assert len(real) == len(cast) and all(np.array_equal(r, c) for r, c in zip(real, cast))
 
 
+@pytest.mark.parametrize("f", ["identity", "two_x_squared"])
 @pytest.mark.parametrize("budget", [16, 60, 32_768])
-def test_pair_matrix_combines_column_blocks(monkeypatch, budget):
-    # Small budgets split the 21 column pairs into blocks whose reductions
-    # must add (np.add) or take the larger (np.maximum) per row pair.
+def test_family_combines_the_chunks_of_a_block(monkeypatch, budget, f):
+    # Small budgets split the 21 complement pairs of each slice pair into
+    # chunks whose reductions must add (p = 1) or take the larger (p = inf)
+    # before f, which is not linear for two_x_squared, sees the norm.
     monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
     rng = np.random.default_rng(11)
     M = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
@@ -217,8 +238,12 @@ def test_pair_matrix_combines_column_blocks(monkeypatch, budget):
         for b in range(5):
             mags[a, b] = [abs(M[a, x] * M[b, y] - M[a, y] * M[b, x])
                           for x in range(7) for y in range(x + 1, 7)]
-    assert np.allclose(KERNEL._pair_matrix(M, np.add), mags.sum(axis=2), rtol=1e-13, atol=0.0)
-    assert np.allclose(KERNEL._pair_matrix(M, np.maximum), mags.max(axis=2), rtol=1e-13, atol=0.0)
+    func = {"identity": lambda v: v, "two_x_squared": lambda v: 2.0 * v**2}[f]
+    sp = raw_split(M)
+    for p, ufunc in ((1, np.add), (np.inf, np.maximum)):
+        expected = func(ufunc.reduce(mags, axis=2)).sum()
+        assert np.allclose(family_measure(sp, sp.bipartition, f, p, 1), expected,
+                           rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
@@ -229,9 +254,9 @@ def test_kernel_without_minors_gives_zero(shape):
     sp = raw_split(G)
     assert cv_transpose.concurrence_route_D(sp, sp.bipartition) == 0.0
     assert cv_transpose.lambda_invariance_gap(sp, sp.bipartition) == 0.0
-    for ufunc in (np.add, np.maximum):
-        pairs = KERNEL._pair_matrix(G, ufunc)
-        assert pairs.shape == (shape[0], shape[0]) and not pairs.any()
+    assert list(KERNEL._wedge_blocks(G)) == [] and list(KERNEL._wedge_blocks(G.T)) == []
+    for p in (1, np.inf):
+        assert family_measure(sp, sp.bipartition, "identity", p, 1) == 0.0
 
 
 def test_kernel_on_two_by_two_is_the_determinant():
@@ -240,9 +265,10 @@ def test_kernel_on_two_by_two_is_the_determinant():
     assert abs(cv_concurrence._wedge_sum_and_max(G) - 4.0 * det**2) < 1e-12
     sp = raw_split(G)
     assert abs(cv_transpose.concurrence_route_D(sp, sp.bipartition) - 4.0 * det**2) < 1e-12
-    for ufunc in (np.add, np.maximum):
-        pairs = KERNEL._pair_matrix(G, ufunc)
-        assert np.allclose(pairs, [[0.0, det], [det, 0.0]], rtol=1e-14, atol=0.0)
+    for p in (1, np.inf):
+        # The one slice pair counts twice, as (0, 1) and (1, 0).
+        value = family_measure(sp, sp.bipartition, "identity", p, 1)
+        assert np.allclose(value, 2.0 * det, rtol=1e-14, atol=0.0)
 
 
 def _grid_state(shape, seed):
@@ -265,8 +291,8 @@ def _traced_peak(run) -> int:
 def test_wedge_kernel_memory_is_bounded_for_any_shape(shape, consumer):
     # 4 x 4096 has 8.4e6 column pairs, 4096 x 4 as many row pairs; the kernel
     # holds its buffers and one block of pair indices, O(budget + rows + cols).
-    # The family's member x member integrand is its own gm^2, so its member
-    # block is the 4-point axis in both cases.
+    # The family's member block is the 4-point axis in both cases here; the
+    # next test takes the long axis.
     state = _grid_state(shape, 9)
     first = Bipartition(2, (0,))
     short = Bipartition(2, (int(np.argmin(shape)),))
@@ -277,6 +303,16 @@ def test_wedge_kernel_memory_is_bounded_for_any_shape(shape, consumer):
         "family_pinf": lambda: family_measure(state, short, "identity", np.inf, 1),
     }[consumer]
     assert _traced_peak(run) < 4 * 2**20
+
+
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_family_memory_is_bounded_on_a_long_member_block(p):
+    # Split {0} of 2048 x 4 has 2.1e6 slice pairs: a member x member matrix of
+    # their norms takes 32 MiB. The family walks F^T, whose column pairs are
+    # the slice pairs, and holds one block's norms at a time.
+    state = _grid_state((2048, 4), 12)
+    bp = Bipartition(2, (0,))
+    assert _traced_peak(lambda: family_measure(state, bp, "identity", p, 1)) < 4 * 2**20
 
 
 def test_lagrange_gap_memory_is_bounded():
