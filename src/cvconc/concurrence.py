@@ -15,6 +15,8 @@ from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _
 from .wedge import _wedge_blocks
 
 DEFAULT_THRESHOLD = 1e-8
+# Bytes of minors above which route A walks the side of G with more rows.
+_MANY_MINOR_BYTES = 2**23
 
 
 def _wedge_sum_and_max(G: np.ndarray) -> float:
@@ -25,6 +27,16 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     the sum runs over the minors a < b, x < y of the wedge kernel, times 4.
     The name stays because bench/tracer.py counts route A's quadruples by it.
     """
+    # G and G^T have the same minors. The kernel pays a fixed cost per chunk,
+    # about one chunk per row offset, and gathers 2 * rows entries per column
+    # pair, 4 / (rows - 1) per minor. Few minors: the fixed cost leads, so
+    # walk the side with fewer rows; many: the gathers lead, so walk the side
+    # with more rows. The two cross near 8 MiB of minors for float64 and
+    # complex128 alike (timings in ROADMAP item 3).
+    rows, cols = G.shape
+    many = rows * (rows - 1) * cols * (cols - 1) // 4 * G.itemsize > _MANY_MINOR_BYTES
+    if rows != cols and (rows < cols) == many:
+        G = G.T
     return 4.0 * sum(np.vdot(d, d).real for _, _, chunks in _wedge_blocks(G) for _, _, d in chunks)
 
 

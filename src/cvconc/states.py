@@ -280,6 +280,11 @@ class Split:
     witness and the factors need; mass_defect, the probability mass lost when
     a Gaussian was sampled (0 otherwise); and norm_squared, the weighted norm^2
     of the amplitudes before the rescaling above.
+
+    F and G are float64 when every imaginary part of the amplitudes is zero
+    (real Gaussians, real product states) and complex128 otherwise; K, schmidt
+    and every route and check then keep that dtype, so a real state runs real
+    BLAS and LAPACK throughout.
     """
 
     bipartition: Bipartition
@@ -293,6 +298,8 @@ class Split:
 
     @classmethod
     def from_blocks(cls, bipartition: Bipartition, F, wm, wrest, mass_defect=0.0, axes=None):
+        if not F.imag.any():
+            F = F.real
         G = F * np.sqrt(np.outer(wm, wrest))
         norm = np.linalg.norm(G)
         G /= norm

@@ -19,10 +19,12 @@ from .wedge import _CHUNK_BUDGET, _wedge_blocks
 # matrix-free.
 _MAX_OPERATOR_DIM = 4096
 
-# Random probes of the square-factorization check: complex Gaussian with
-# E|V_ij|^2 = 1, drawn from a fixed seed so the check is deterministic.
+# Random probes of the square-factorization check: independent unit-modulus
+# phases 1, i, -1, -i (zero mean, |V_ij|^2 = 1), drawn from a fixed seed so
+# the check is deterministic.
 _PROBES = 8
 _PROBE_SEED = 1979
+_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class DiscreteOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.asarray(self.matrix)
+        m = np.asarray(m, dtype=np.result_type(m, float))  # real operators stay real
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("operator matrix must be square")
         object.__setattr__(self, "matrix", m)
@@ -140,17 +143,20 @@ def pt_square_factorization_gap(state: GridState | Split, bipartition: Bipartiti
     # from the smaller Gram matrix K only, independently of _pt_matvec.
     sp = split(state, bipartition)
     G, K = sp.G, sp.K
-    rng = np.random.default_rng(_PROBE_SEED)
-    z = rng.standard_normal((2, _PROBES, *G.shape))
-    V = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    V = _PHASES[np.random.default_rng(_PROBE_SEED).integers(4, size=(_PROBES, *G.shape))]
+    real = not np.iscomplexobj(G)
+    if real:
+        # Real operators map Re V and Im V apart, so the probes go as twice as
+        # many real ones with the same sum of squared residuals.
+        V = np.concatenate((V.real, V.imag))
     Gc = G.conj()
-    if G.shape[0] <= G.shape[1]:
-        left = K @ V
-        target, target_tilde = (left @ G.T) @ Gc, (left @ Gc.T) @ G
-    else:
-        left = G @ (Gc.T @ V)
-        target, target_tilde = left @ K, left @ K.conj()
+    wide = G.shape[0] <= G.shape[1]
+    left = K @ V if wide else G @ (Gc.T @ V)
+    target = (left @ G.T) @ Gc if wide else left @ K
     gap = _probe_norm(_pt_matvec(G, _pt_matvec(G, V, Gc), Gc) - target)
+    if real:
+        return gap  # Gc is G: the tilde residual would repeat these products
+    target_tilde = (left @ Gc.T) @ G if wide else left @ K.conj()
     gap_tilde = _probe_norm(_pt_matvec(G, _pt_matvec(Gc, V, Gc), G) - target_tilde)
     return max(gap, gap_tilde)
 
@@ -178,7 +184,7 @@ def concurrence_route_E(state: GridState | Split, bipartition: Bipartition) -> f
     sp = split(state, bipartition)
     M = sp.G if sp.G.shape[0] <= sp.G.shape[1] else sp.G.T
     small = np.linalg.norm(sp.K)
-    step = max(1, _CHUNK_BUDGET // M.shape[1])
+    step = max(1, _CHUNK_BUDGET // (M.itemsize * M.shape[1]))
     large = 0.0
     for j in range(0, M.shape[1], step):
         block = M[:, j:j + step].conj().T @ M

@@ -4,26 +4,43 @@ for route A, the family, the Lambda gap, the witness and the Lagrange check."""
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from .errors import InputError
 
-# Complex elements of the kernel's three chunk buffers together (768 KiB) unless
-# one offset needs more. Timed as two kernel passes, on G and on G^T, one BLAS
-# thread: 1.75 ms on 32^2, 50 ms on 324 x 18 (2.36, 58 ms at 32768); 65536
-# slowed 10 x 100 from 2.0 to 3.2 ms.
-_CHUNK_BUDGET = 49_152
+# Bytes of the kernel's three chunk buffers together (768 KiB) unless one
+# offset needs more, so a float64 walk holds twice the elements of a
+# complex128 one. Timed as two kernel passes, on G and on G^T, one BLAS
+# thread, complex / real: 1.32 / 0.78 ms on 32^2, 33 / 18.5 ms on 324 x 18,
+# 1.17 / 0.91 ms on 10 x 100. Half the budget was slower on 324 x 18
+# (41 / 23 ms); twice it slowed 10 x 100 (1.54 / 1.20 ms).
+_CHUNK_BUDGET = 786_432
 _LONG_RUN = 1024  # minors an offset's row pairs need to go as slices
+
+
+def _row(n: int, p: int) -> int:
+    """The row i of pair number p < n (n - 1) / 2: the largest i whose first
+    number i (2n - 1 - i) / 2 is at most p. The smaller root of that quadratic
+    in exact integers is off by at most one above."""
+    i = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * p)) // 2
+    return i - (i * (2 * n - 1 - i) // 2 > p)
 
 
 def _pairs(n: int, start: int, stop: int):
     """Index arrays (i, j), i < j < n, of the pairs numbered start..stop-1 row
-    by row, without the other pairs: row i starts at number i (2n - 1 - i) / 2."""
-    i = np.arange(n - 1)
-    first = i * (2 * n - 1 - i) // 2
-    p = np.arange(start, stop)
-    i = np.searchsorted(first, p, side="right") - 1
-    return i, p - first[i] + i + 1
+    by row, without the other pairs: row i starts at number i (2n - 1 - i) / 2
+    and holds n - 1 - i pairs, j = i + 1 .. n - 1."""
+    i0, i1 = _row(n, start), _row(n, stop - 1)
+    rows = np.arange(i0, i1 + 1)
+    # The first row starts at start, the last ends before stop.
+    counts = n - 1 - rows
+    counts[0] -= start - i0 * (2 * n - 1 - i0) // 2
+    counts[-1] -= (i1 + 1) * (2 * n - 2 - i1) // 2 - stop
+    # j = p + 1 + i - (first number of row i) = p + 1 - i (2n - 3 - i) / 2.
+    shift = rows * (2 * n - 3 - rows) // 2
+    return rows.repeat(counts), np.arange(start + 1, stop + 1) - shift.repeat(counts)
 
 
 def _minors(buf, X, Y, a, b, n):
@@ -47,16 +64,16 @@ def _wedge_blocks(M: np.ndarray):
     Row pairs (a, a + s) of one offset s are the slices X[:-s], Y[s:] of
     X = M[:, x], Y = M[:, y] while many; the far offsets go as gathered index
     arrays. D is a buffer the next chunk overwrites; reduce it before the next."""
-    M = np.asarray(M, dtype=complex)  # the gathers write into complex buffers
+    M = np.asarray(M, dtype=np.result_type(M, float))  # float64 or complex128
     rows, cols = M.shape
     ncp = cols * (cols - 1) // 2
     if rows < 2 or ncp == 0:
         return
-    size = max(_CHUNK_BUDGET // 3, rows - 1)
+    size = max(_CHUNK_BUDGET // (3 * M.itemsize), rows - 1)
     # Equal blocks, each small enough that the offset-1 slice fills one buffer.
     blocks = -(-ncp // (size // (rows - 1)))
     width = -(-ncp // blocks)
-    buf = np.empty((3, min(size, rows * (rows - 1) // 2 * width)), dtype=complex)
+    buf = np.empty((3, min(size, rows * (rows - 1) // 2 * width)), dtype=M.dtype)
     idx = np.arange(rows)
 
     def chunks(x, y):
@@ -82,8 +99,9 @@ def lagrange_identity_gap(f, g, weights) -> float:
 
     LHS = ||f||^2 ||g||^2 - |<f, g>|^2, RHS = sum_{j>i} |f_i g_j - f_j g_i|^2 w_i w_j.
     """
-    f = np.asarray(f, dtype=np.complex128).reshape(-1)
-    g = np.asarray(g, dtype=np.complex128).reshape(-1)
+    dtype = np.result_type(np.asarray(f), np.asarray(g), float)  # real vectors stay real
+    f = np.asarray(f, dtype=dtype).reshape(-1)
+    g = np.asarray(g, dtype=dtype).reshape(-1)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if not (f.size == g.size == w.size):
         raise InputError("vectors and weights must have equal length")

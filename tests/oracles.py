@@ -211,3 +211,13 @@ def route_d_kernel(G):
 
     return 4.0 * sum(np.vdot(d, d).real
                      for _, _, chunks in _wedge_blocks(G.T) for _, _, d in chunks)
+
+
+def pairs_by_search(n, start, stop):
+    """Pairs i < j < n numbered start..stop-1 row by row, each number's row
+    found by a binary search over the first numbers of all rows."""
+    rows = np.arange(n - 1)
+    first = rows * (2 * n - 1 - rows) // 2
+    p = np.arange(start, stop)
+    i = np.searchsorted(first, p, side="right") - 1
+    return i, p - first[i] + i + 1

@@ -336,8 +336,8 @@ def _assert_witness_is_the_dense_one(G):
 @pytest.mark.parametrize("budget", [None, 30])
 @pytest.mark.parametrize("shape", WITNESS_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_witness_matches_the_dense_search(monkeypatch, shape, budget):
-    if budget is not None:
-        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", budget)
+    if budget is not None:  # complex elements, 16 bytes each
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 16 * budget)
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     _assert_witness_is_the_dense_one(G / np.linalg.norm(G))
@@ -348,8 +348,8 @@ def test_witness_matches_the_dense_search(monkeypatch, shape, budget):
 def test_witness_ties_resolve_as_the_dense_search(monkeypatch, seed, budget):
     # Two rows of -1, 0, 1 and a smaller third: every minor is an exact
     # integer, and the largest |D|^2 recurs over many column pairs.
-    if budget is not None:
-        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", budget)
+    if budget is not None:  # complex elements, 16 bytes each
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 16 * budget)
     rng = np.random.default_rng(seed)
     G = rng.integers(-1, 2, size=(3, 40)).astype(complex)
     G[2] *= 0.25
@@ -380,14 +380,15 @@ def test_witness_memory_on_a_long_complement():
 
 
 # Every consumer of the wedge kernel: (function of the state, plain-loop
-# oracle, whether the kernel runs over the columns of the block matrix).
+# oracle, the shape of the matrix the kernel walks, from the block matrix's).
+# Route A walks the side with fewer rows when the minors are few, as here.
 WEDGE_CONSUMERS = {
-    "A": (concurrence_route_A, oracles.direct_concurrence, False),
-    "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, False),
+    "A": (concurrence_route_A, oracles.direct_concurrence, lambda shape: sorted(shape)),
+    "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, lambda shape: shape),
     "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
-                  lambda s, bp: oracles.family_p_norm(s, bp, 1), True),
+                  lambda s, bp: oracles.family_p_norm(s, bp, 1), lambda shape: shape[::-1]),
     "family_pinf": (lambda s, bp: family_measure(s, bp, "identity", np.inf, 1),
-                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), True),
+                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), lambda shape: shape[::-1]),
 }
 
 
@@ -397,14 +398,14 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     # A 5 x 4 x 6 state split 5 | 24 (gm << gmbar) and 24 | 5 (gm >> gmbar),
     # with the budget set so that several chunks run and the last is partial.
     wedge = sys.modules["cvconc.wedge"]
-    func, oracle, columns = WEDGE_CONSUMERS[consumer]
+    func, oracle, walked = WEDGE_CONSUMERS[consumer]
     state = small_random_state(101, shape=(5, 4, 6))
     bp = Bipartition(3, members)
     G, _, _ = cv.states.block_matrix(state, bp)
-    rows, cols = G.T.shape if columns else G.shape
+    rows, cols = walked(G.shape)
     npairs = rows * (rows - 1) // 2
     ncolpairs = cols * (cols - 1) // 2
-    budget = 3 * ncolpairs * (npairs // 3 + 1)
+    budget = 3 * G.itemsize * ncolpairs * (npairs // 3 + 1)  # bytes
     monkeypatch.setattr(wedge, "_CHUNK_BUDGET", budget)
     chunk_sizes = []
     original = wedge._wedge_blocks
@@ -426,7 +427,7 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     monkeypatch.undo()
     assert len(chunk_sizes) >= 3
     assert chunk_sizes[-1] < chunk_sizes[0]
-    assert 3 * max(chunk_sizes) <= budget
+    assert 3 * G.itemsize * max(chunk_sizes) <= budget
     assert sum(chunk_sizes) == npairs * ncolpairs
     assert abs(value - oracle(state, bp)) < 1e-12
 

@@ -120,6 +120,29 @@ def test_factorization_probes_are_deterministic():
     assert cv.pt_square_factorization_gap(state, BP) == cv.pt_square_factorization_gap(state, BP)
 
 
+def test_factorization_probes_are_seeded_unit_phases(monkeypatch):
+    # The probes reach the first matrix-free application as V: entries 1, i,
+    # -1, -i, each of the four drawn, the same on every call.
+    sp = cv.split(random_grid_state(np.random.default_rng(37)), BP)
+    original, args = transpose._pt_matvec, []
+
+    def recording(A, V, B):
+        args.append(V)
+        return original(A, V, B)
+
+    monkeypatch.setattr(transpose, "_pt_matvec", recording)
+    draws = []
+    for _ in range(2):
+        args.clear()
+        cv.pt_square_factorization_gap(sp, BP)
+        draws.append(args[0].copy())
+    V = draws[0]
+    assert V.shape == (transpose._PROBES, *sp.G.shape)
+    assert np.all(np.abs(V) == 1.0)
+    assert set(np.unique(V).tolist()) == {1.0, 1.0j, -1.0, -1.0j}
+    assert np.array_equal(draws[0], draws[1])
+
+
 def test_verify_passes_on_splits_beyond_the_dense_cap():
     # Edges 64^2 = 4096, 18 x 324 = 5832 and 72^2 = 5184; the dense operators
     # would take 256 MiB, 519 MiB and 410 MiB.

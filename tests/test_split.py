@@ -2,6 +2,7 @@
 command, unit norm, the route table every consumer reads, and the one
 Gaussian sampler."""
 
+import dataclasses
 import functools
 import json
 import sys
@@ -402,3 +403,69 @@ def test_report_refuses_bad_route_names_before_any_work(monkeypatch, routes, mes
     with pytest.raises(cv.InputError, match=message):
         cv.concurrence_report(state, BP, routes=routes)
     assert calls == []
+
+
+def test_a_real_state_splits_into_real_arrays():
+    # Every imaginary part zero: F, G and K are float64, so the routes and
+    # checks run real BLAS and LAPACK; one nonzero imaginary part keeps the
+    # split complex128.
+    spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
+    real = cv.discretize(spec, [GridAxis(-5.0, 5.0, 12)] * 2)
+    assert real.amplitudes.dtype == np.complex128
+    sp = cv.split(real, BP)
+    assert sp.F.dtype == sp.G.dtype == sp.K.dtype == np.float64
+    amp = real.amplitudes.copy()
+    amp[3, 4] += 1e-12j
+    sp = cv.split(GridState.from_amplitudes(real.axes, amp), BP)
+    assert sp.F.dtype == sp.G.dtype == sp.K.dtype == np.complex128
+    assert cv.split(random_grid_state(np.random.default_rng(7)), BP).G.dtype == np.complex128
+
+
+REAL_GAUSSIANS = {
+    "2-mode": ([[1.0, 0.45], [0.45, 0.9]], (0,)),
+    "2-mode-product": ([[1.0, 0.0], [0.0, 0.7]], (0,)),
+    "3-mode-0": ([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]], (0,)),
+    "3-mode-0,2": ([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]], (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_GAUSSIANS))
+def test_real_arithmetic_gives_the_complex_results(name):
+    # The same split with F and G cast to complex128 runs the complex path.
+    # Only the probe check differs beyond round-off: its real path takes the
+    # real and imaginary parts of the probes as separate real probes.
+    A, members = REAL_GAUSSIANS[name]
+    points = 14 if len(A) == 2 else 9
+    state = cv.discretize(GaussianPureState(np.array(A, dtype=complex)),
+                          [GridAxis(-5.0, 5.0, points)] * len(A))
+    bp = Bipartition(len(A), members)
+    real = cv.split(state, bp)
+    cast = dataclasses.replace(real, F=real.F.astype(complex), G=real.G.astype(complex))
+    assert real.G.dtype == np.float64 and cast.G.dtype == np.complex128
+
+    reports = [cv.concurrence_report(sp, bp, routes=conc.ROUTES) for sp in (real, cast)]
+    assert reports[0].verdict == reports[1].verdict
+    assert reports[0].schmidt_rank == reports[1].schmidt_rank
+    assert abs(reports[0].entropy - reports[1].entropy) <= 1e-14
+    values = [r.values() for r in reports]
+    assert values[0].keys() == values[1].keys()
+    assert all(abs(values[0][k] - values[1][k]) <= 1e-14 for k in values[0])
+
+    certs = [cv.decide_separability(sp, bp) for sp in (real, cast)]
+    assert certs[0].verdict == certs[1].verdict
+    if certs[0].witness is None:
+        for a, b in ((certs[0].factor_m, certs[1].factor_m),
+                     (certs[0].factor_rest, certs[1].factor_rest)):
+            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-14
+    else:
+        w0, w1 = certs[0].witness, certs[1].witness
+        assert (w0.slice_pair, w0.basis_pair) == (w1.slice_pair, w1.basis_pair)
+        assert abs(w0.magnitude_sq - w1.magnitude_sq) <= 1e-14
+
+    rows = [verification_rows(cv.run_verification(sp, bp)) for sp in (real, cast)]
+    assert [r[::3] for r in rows[0]] == [r[::3] for r in rows[1]]
+    for (check, measured, _, _), (_, other, _, _) in zip(*rows):
+        if check == "pt_square_factorization":
+            assert max(abs(measured), abs(other)) < 1e-10
+        else:
+            assert abs(measured - other) <= 1e-14, check

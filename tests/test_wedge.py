@@ -21,6 +21,7 @@ from cvconc import concurrence as cv_concurrence
 from cvconc import transpose as cv_transpose
 from cvconc.errors import InputError
 
+import oracles
 from conftest import raw_split
 
 
@@ -194,7 +195,7 @@ def test_kernel_forms_every_minor_once(monkeypatch, budget, long_run):
     # Integer entries make every minor exact: each row pair a < b must meet
     # each column pair x < y once, with its value, in the order x < y, and
     # every row pair must meet a block's column pairs before the next block.
-    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", 16 * budget)  # complex elements
     monkeypatch.setattr(KERNEL, "_LONG_RUN", long_run)
     rng = np.random.default_rng(6)
     M = rng.integers(-9, 10, size=(5, 7)) + 1j * rng.integers(-9, 10, size=(5, 7))
@@ -215,13 +216,63 @@ def test_kernel_forms_every_minor_once(monkeypatch, budget, long_run):
     assert got == expected
 
 
+def _minors_by_index(M):
+    """{(a, b, x, y): D} over every minor the kernel forms on M, and the
+    dtypes of its chunks; a minor formed twice fails."""
+    minors, dtypes = {}, set()
+    for x, y, chunks in KERNEL._wedge_blocks(M):
+        for a, b, d in chunks:
+            dtypes.add(d.dtype)
+            for pair, row in zip(zip(a.tolist(), b.tolist()), d):
+                for quad, value in zip(((*pair, *xy) for xy in zip(x.tolist(), y.tolist())), row):
+                    assert quad not in minors
+                    minors[quad] = value
+    return minors, dtypes
+
+
 def test_kernel_takes_real_matrices(monkeypatch):
-    # Real input goes through the same complex buffers, gathered path included.
-    monkeypatch.setattr(KERNEL, "_LONG_RUN", 10**6)
+    # Real input stays real: float64 chunks of twice the elements of the
+    # complex walk, the same minors as the real parts of the complex-cast
+    # walk, slices and gathered offsets alike.
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", 48 * 12)
     M = np.arange(35.0).reshape(5, 7) ** 1.5
-    real = [d.copy() for _, _, d in _minor_chunks(M)]
-    cast = [d.copy() for _, _, d in _minor_chunks(M.astype(complex))]
-    assert len(real) == len(cast) and all(np.array_equal(r, c) for r, c in zip(real, cast))
+    for long_run in (1, 1024, 10**6):
+        monkeypatch.setattr(KERNEL, "_LONG_RUN", long_run)
+        real, real_dtypes = _minors_by_index(M)
+        cast, cast_dtypes = _minors_by_index(M.astype(complex))
+        assert real_dtypes == {np.dtype(float)} and cast_dtypes == {np.dtype(complex)}
+        assert len(real) == 10 * 21 and real.keys() == cast.keys()
+        assert all(real[q] == cast[q].real and cast[q].imag == 0.0 for q in real)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kernel_buffers_stay_within_the_byte_budget(dtype):
+    # The three chunk buffers share one array of 768 KiB whatever the dtype,
+    # so a real walk holds twice the elements of a complex one.
+    rng = np.random.default_rng(14)
+    M = rng.normal(size=(18, 324)).astype(dtype)
+    roots = set()
+    for _, _, chunks in KERNEL._wedge_blocks(M):
+        for _, _, d in chunks:
+            roots.add(id(d.base))
+            buf = d.base
+    assert len(roots) == 1 and buf.dtype == np.dtype(dtype)
+    assert buf.nbytes <= KERNEL._CHUNK_BUDGET == 768 * 1024
+    assert buf.size == 3 * (KERNEL._CHUNK_BUDGET // (3 * buf.itemsize))
+
+
+def test_pairs_match_the_binary_search_over_row_starts():
+    rng = np.random.default_rng(15)
+    cases = [(2, 0, 1), (3, 0, 3), (4096, 0, 16384), (4096, 8386559, 8386560)]
+    for _ in range(400):
+        n = int(rng.integers(2, 700))
+        total = n * (n - 1) // 2
+        start = int(rng.integers(0, total))
+        cases.append((n, start, int(rng.integers(start + 1, total + 1))))
+    for n, start, stop in cases:
+        i, j = KERNEL._pairs(n, start, stop)
+        ref_i, ref_j = oracles.pairs_by_search(n, start, stop)
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j), (n, start, stop)
 
 
 @pytest.mark.parametrize("f", ["identity", "two_x_squared"])
@@ -230,7 +281,7 @@ def test_family_combines_the_chunks_of_a_block(monkeypatch, budget, f):
     # Small budgets split the 21 complement pairs of each slice pair into
     # chunks whose reductions must add (p = 1) or take the larger (p = inf)
     # before f, which is not linear for two_x_squared, sees the norm.
-    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", 16 * budget)  # complex elements
     rng = np.random.default_rng(11)
     M = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
     mags = np.zeros((5, 5, 21))
