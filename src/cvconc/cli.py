@@ -9,6 +9,7 @@ error, 3 internal-consistency or verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,10 @@ EXIT_STATE = 2
 EXIT_VERIFY = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main()
+    call: parsing leaves it unchanged."""
     from .concurrence import DEFAULT_ROUTES
 
     parser = argparse.ArgumentParser(

@@ -32,7 +32,9 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     # pair, 4 / (rows - 1) per minor. Few minors: the fixed cost leads, so
     # walk the side with fewer rows; many: the gathers lead, so walk the side
     # with more rows. The two cross near 8 MiB of minors for float64 and
-    # complex128 alike (timings in ROADMAP item 3).
+    # complex128 alike, with the chunk buffers aligned or not; between 7 and
+    # 11 MiB the shape decides which side wins, by up to 10 % (timings in
+    # ROADMAP item 3).
     rows, cols = G.shape
     many = rows * (rows - 1) * cols * (cols - 1) // 4 * G.itemsize > _MANY_MINOR_BYTES
     if rows != cols and (rows < cols) == many:

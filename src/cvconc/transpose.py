@@ -12,7 +12,8 @@ import numpy as np
 from .errors import InputError, NumericError
 from .quadrature import _product_weights, gauss_hermite_rule
 from .states import Bipartition, GaussianPureState, GridState, Split, split
-from .wedge import _CHUNK_BUDGET, _wedge_blocks
+from . import wedge
+from .wedge import _wedge_blocks
 
 # Edge cap of the one dense operator over the linearized grid, the matrix
 # build_rho_pt returns; every other check applies the partial transpose
@@ -184,7 +185,7 @@ def concurrence_route_E(state: GridState | Split, bipartition: Bipartition) -> f
     sp = split(state, bipartition)
     M = sp.G if sp.G.shape[0] <= sp.G.shape[1] else sp.G.T
     small = np.linalg.norm(sp.K)
-    step = max(1, _CHUNK_BUDGET // (M.itemsize * M.shape[1]))
+    step = max(1, wedge._CHUNK_BUDGET // (M.itemsize * M.shape[1]))
     large = 0.0
     for j in range(0, M.shape[1], step):
         block = M[:, j:j + step].conj().T @ M

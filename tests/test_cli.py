@@ -457,6 +457,49 @@ def test_cmd_factor_output_not_factorable_again(tmp_path, capsys):
                  "--out-rest", str(tmp_path / "b.json")]) == 1
 
 
+def _strip_seconds(out):
+    # verify's per-check "seconds" are wall times, the one field that differs
+    # between two runs of the same command.
+    report = json.loads(out)
+    for check in report.get("checks", ()):
+        check.pop("seconds")
+    return report
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    from cvconc.cli import build_parser
+
+    assert build_parser() is build_parser()
+    grid = tmp_path / "grid.json"
+    save_grid_state(random_grid_state(np.random.default_rng(19)), grid)
+    product = tmp_path / "prod.json"
+    save_grid_state(random_product_state(np.random.default_rng(23)), product)
+    calls = [
+        ["concurrence", str(grid), "--M", "0"],
+        ["concurrence", str(grid), "--M", "0", "--no-such-option"],
+        ["verify", str(grid), "--M", "0"],
+        ["factor", str(product), "--M", "0", "--out-m", str(tmp_path / "m.json"),
+         "--out-rest", str(tmp_path / "r.json")],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = _strip_seconds(captured.out) if captured.out else None
+        return code, out, captured.err
+
+    one_process = [run(argv) for argv in calls]
+    assert [code for code, _, _ in one_process] == [0, 2, 0, 0]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert one_process == fresh
+
+
 def test_console_entry_point():
     # The child gets a bare environment, plus the path of the cvconc this
     # process imported, so it runs the same code installed or not.

@@ -405,7 +405,10 @@ def test_route_A_chunk_boundaries(monkeypatch, members, consumer):
     rows, cols = walked(G.shape)
     npairs = rows * (rows - 1) // 2
     ncolpairs = cols * (cols - 1) // 2
-    budget = 3 * G.itemsize * ncolpairs * (npairs // 3 + 1)  # bytes
+    # Bytes: one cache line to align the buffers, and three rows of whole
+    # lines holding ncolpairs * (npairs // 3 + 1) minors each.
+    line = wedge._LINE // G.itemsize
+    budget = wedge._LINE + 3 * wedge._LINE * -(-ncolpairs * (npairs // 3 + 1) // line)
     monkeypatch.setattr(wedge, "_CHUNK_BUDGET", budget)
     chunk_sizes = []
     original = wedge._wedge_blocks

@@ -182,3 +182,25 @@ def test_route_e_on_a_lopsided_split_stays_within_the_chunk_budget():
     assert peak < 4 * 2**20
     assert abs(value - reference) < 1e-12
     assert abs(cv.concurrence_route_E(state, Bipartition(2, (1,))) - reference) < 1e-12
+
+
+@pytest.mark.parametrize("budget", [2**16, 5 * 2**16 + 8])
+def test_route_e_blocks_follow_the_chunk_budget_at_call_time(monkeypatch, budget):
+    # Route E reads the wedge module's budget when it runs: with a smaller
+    # one its column blocks of the 8 x 2048 split shrink to fit, and the
+    # value moves only by the order of the block sums.
+    sp = cv.split(random_state(61, (8, 2048)), BP)
+    default = cv.concurrence_route_E(sp, BP)
+    vdot, blocks = np.vdot, []
+
+    def recording_vdot(a, b):
+        blocks.append(a.shape)
+        return vdot(a, b)
+
+    monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(np, "vdot", recording_vdot)
+    value = cv.concurrence_route_E(sp, BP)
+    monkeypatch.undo()
+    step = budget // (16 * 2048)
+    assert blocks == [(step, 2048)] * (2048 // step) + [(2048 % step, 2048)] * (2048 % step > 0)
+    assert abs(value - default) < 1e-12

@@ -248,7 +248,8 @@ def test_kernel_takes_real_matrices(monkeypatch):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_kernel_buffers_stay_within_the_byte_budget(dtype):
     # The three chunk buffers share one array of 768 KiB whatever the dtype,
-    # so a real walk holds twice the elements of a complex one.
+    # so a real walk holds twice the elements of a complex one: three rows of
+    # whole cache lines and one spare line to align them.
     rng = np.random.default_rng(14)
     M = rng.normal(size=(18, 324)).astype(dtype)
     roots = set()
@@ -258,7 +259,52 @@ def test_kernel_buffers_stay_within_the_byte_budget(dtype):
             buf = d.base
     assert len(roots) == 1 and buf.dtype == np.dtype(dtype)
     assert buf.nbytes <= KERNEL._CHUNK_BUDGET == 768 * 1024
-    assert buf.size == 3 * (KERNEL._CHUNK_BUDGET // (3 * buf.itemsize))
+    line = KERNEL._LINE // buf.itemsize
+    assert buf.size == 3 * ((KERNEL._CHUNK_BUDGET - KERNEL._LINE) // (3 * KERNEL._LINE)) * line + line
+
+
+@pytest.mark.parametrize("budget", [None, 16 * 60, 16 * 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+def test_kernel_buffers_start_on_a_cache_line(monkeypatch, offset, dtype, budget):
+    # np.empty hands the kernel memory offset bytes past a cache line; each
+    # chunk's D and its two sibling rows must still start on one, and the
+    # minors must come out as with the allocator's own memory.
+    if budget is not None:
+        monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(16)
+    M = rng.normal(size=(9, 40)).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.normal(size=(9, 40))
+    expected = [d.copy() for _, _, d in _minor_chunks(M)]
+    empty, allocated, rows = np.empty, [], []
+
+    def shifted_empty(shape, dtype=float):
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        raw = empty(nbytes + 2 * KERNEL._LINE, np.uint8)
+        start = -raw.ctypes.data % KERNEL._LINE + offset
+        allocated.append(raw[start:start + nbytes].view(dtype).reshape(shape))
+        return allocated[-1]
+
+    def recording_rows(n, dtype):
+        rows.append(aligned_rows(n, dtype))
+        return rows[-1]
+
+    aligned_rows = KERNEL._aligned_rows
+    monkeypatch.setattr(np, "empty", shifted_empty)
+    monkeypatch.setattr(KERNEL, "_aligned_rows", recording_rows)
+    got = []
+    for _, _, d in _minor_chunks(M):
+        (buf,) = rows
+        assert d.ctypes.data == buf[0].ctypes.data
+        got.append(d.copy())
+    monkeypatch.undo()
+    assert [a.ctypes.data % KERNEL._LINE for a in allocated] == [offset]
+    assert [row.ctypes.data % KERNEL._LINE for row in buf] == [0, 0, 0]
+    if budget is None:
+        assert allocated[0].nbytes <= KERNEL._CHUNK_BUDGET
+    assert len(got) == len(expected) > 1
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_pairs_match_the_binary_search_over_row_starts():
