@@ -12,11 +12,15 @@ from . import spectral, transpose
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
-from .wedge import _wedge_blocks
+from .wedge import _walk_size, _wedge_blocks
 
 DEFAULT_THRESHOLD = 1e-8
 # Bytes of minors above which route A walks the side of G with more rows.
 _MANY_MINOR_BYTES = 2**23
+# Gathered row pairs, and gathered minors, that cost the family's walk about
+# as much as one more chunk (timings in ROADMAP item 6).
+_GATHERED_ROWS = 256
+_GATHERED_MINORS = 8192
 
 
 def _wedge_sum_and_max(G: np.ndarray) -> float:
@@ -89,6 +93,19 @@ def concurrence_route_Lambda(state: GridState | Split, bipartition: Bipartition)
     return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
 
 
+def _walk_rows(gm: int, gmbar: int, itemsize: int) -> bool:
+    """Whether the family walks F itself, gm x gmbar, rather than F^T: when F
+    is wide and its walk costs less. A walk costs one unit per chunk, and
+    another per _GATHERED_ROWS row pairs and per _GATHERED_MINORS minors it
+    gathers; on a tall or square F, walking F was never faster."""
+    if gm >= gmbar:
+        return False
+    costs = [chunks + pairs / _GATHERED_ROWS + minors / _GATHERED_MINORS
+             for chunks, pairs, minors in (_walk_size(gm, gmbar, itemsize),
+                                           _walk_size(gmbar, gm, itemsize))]
+    return costs[0] < costs[1]
+
+
 _PRESET_F = {
     "identity": lambda x: x,
     "two_x_squared": lambda x: 2.0 * x**2,
@@ -121,15 +138,32 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
     sp = split(state, bipartition)
     F, wm, wrest = sp.F, sp.wm, sp.wrest
     if p == 1 or p == np.inf or p == "inf":
-        # The column pairs of F^T are the slice pairs a < b, and each block
-        # reduces |D| over every complement pair x < y before f sees the norm;
-        # rows of (F w_rest)^T weight D by w_x w_y. The pairs b < a double the
-        # sum, and a = b adds nothing because every preset has f(0) = 0.
+        # Each minor D of (F w_rest) for p = 1, or of F for p = inf, is the wedge
+        # coefficient of a slice pair a < b at a complement pair x < y,
+        # weighted by w_x w_y for p = 1; |D| reduces over the complement pairs
+        # before f sees the norm. The pairs b < a double the sum, and a = b
+        # adds nothing because every preset has f(0) = 0.
         ufunc = np.add if p == 1 else np.maximum
-        integral = 0.0
-        for a, b, chunks in _wedge_blocks((F * wrest).T if p == 1 else F.T):
-            norms = ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
-            integral += 2.0 * float((wm[a] * wm[b]) @ func(norms))
+        M = F * wrest if p == 1 else F
+        gm, gmbar = M.shape
+        if _walk_rows(gm, gmbar, M.itemsize):
+            # The rows of F are the slices: each chunk's row pairs are slice
+            # pairs, met again in every block, so their norms gather in a
+            # gm x gm matrix, no larger than F.
+            norms = np.zeros((gm, gm))
+            cells = norms.reshape(-1)
+            for _, _, chunks in _wedge_blocks(M):
+                for a, b, d in chunks:
+                    k = a * gm + b
+                    cells[k] = ufunc(cells[k], ufunc.reduce(np.abs(d), axis=1))
+            integral = 2.0 * float(wm @ func(norms) @ wm)
+        else:
+            # The column pairs of F^T are the slice pairs, and each block
+            # reduces |D| over every complement pair before the next.
+            integral = 0.0
+            for a, b, chunks in _wedge_blocks(M.T):
+                norms = ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
+                integral += 2.0 * float((wm[a] * wm[b]) @ func(norms))
     elif p == 2:
         row_norms = (np.abs(F) ** 2) @ wrest
         overlaps = (F * wrest) @ F.conj().T

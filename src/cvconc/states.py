@@ -4,6 +4,7 @@ member and complement blocks that every concurrence route reads."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -219,7 +220,7 @@ class Bipartition:
             raise InputError("bipartition needs 1 <= |M| <= n-1")
         object.__setattr__(self, "members", members)
 
-    @property
+    @cached_property
     def complement(self) -> tuple:
         chosen = set(self.members)
         return tuple(i for i in range(self.n) if i not in chosen)
@@ -233,15 +234,25 @@ class Bipartition:
         return cls(n, members)
 
 
-def _blocks(amplitudes: np.ndarray, axis_weights, bipartition: Bipartition):
+def _member_major(amplitudes: np.ndarray, bipartition: Bipartition) -> np.ndarray:
     """Amplitudes on a product grid transposed to (member axes, complement
-    axes) and flattened to a matrix, with the flattened weights of each block."""
+    axes) and flattened to a matrix."""
     if bipartition.n != amplitudes.ndim:
         raise InputError("bipartition size does not match the state")
-    members, rest = bipartition.members, bipartition.complement
-    wm = _product_weights([axis_weights[k] for k in members]).reshape(-1)
-    wrest = _product_weights([axis_weights[k] for k in rest]).reshape(-1)
-    return np.transpose(amplitudes, members + rest).reshape(wm.size, wrest.size), wm, wrest
+    members = bipartition.members
+    gm = 1
+    for k in members:
+        gm *= amplitudes.shape[k]
+    return np.transpose(amplitudes, members + bipartition.complement).reshape(gm, -1)
+
+
+def _blocks(amplitudes: np.ndarray, axis_weights, bipartition: Bipartition):
+    """The member-major matrix of amplitudes on a product rule, with the
+    flattened weights of each block."""
+    F = _member_major(amplitudes, bipartition)
+    wm = _product_weights([axis_weights[k] for k in bipartition.members]).reshape(-1)
+    wrest = _product_weights([axis_weights[k] for k in bipartition.complement]).reshape(-1)
+    return F, wm, wrest
 
 
 def block_matrix(state: GridState, bipartition: Bipartition):
@@ -249,9 +260,16 @@ def block_matrix(state: GridState, bipartition: Bipartition):
 
     Returns (F, w_m, w_rest) where rows of F run over the linearized
     member-axis indices and columns over the complement, with the flattened
-    quadrature weights of each block; split weights F into G.
+    quadrature weights of each block; split weights F into G. Every midpoint
+    node of a block carries the product of that block's axis deltas.
     """
-    return _blocks(state.amplitudes, [ax.weights for ax in state.axes], bipartition)
+    F = _member_major(state.amplitudes, bipartition)
+    wm = wrest = 1.0
+    for k in bipartition.members:
+        wm *= state.axes[k].delta
+    for k in bipartition.complement:
+        wrest *= state.axes[k].delta
+    return F, np.full(F.shape[0], wm), np.full(F.shape[1], wrest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +316,23 @@ class Split:
 
     @classmethod
     def from_blocks(cls, bipartition: Bipartition, F, wm, wrest, mass_defect=0.0, axes=None):
+        """The split of the block matrix F with block weights wm and wrest. With
+        axes, F holds a grid state, whose every node carries the one weight
+        wm[0] wrest[0]; without, each node's weight comes from the two vectors."""
         if not F.imag.any():
             F = F.real
-        G = F * np.sqrt(np.outer(wm, wrest))
-        norm = np.linalg.norm(G)
+        if axes is not None:
+            # In C order, as the product with a weight matrix gives it, so that
+            # the norm and every BLAS call read G's elements in the same order.
+            G = np.multiply(F, math.sqrt(wm[0] * wrest[0]), order="C")
+        else:
+            G = F * np.sqrt(np.outer(wm, wrest))
+        norm = float(np.linalg.norm(G))
+        if not 0.0 < norm < np.inf:
+            raise InputError(f"cannot normalize amplitudes of weighted norm {norm}: "
+                             "the rule captures no finite mass of the state")
         G /= norm
-        return cls(bipartition, F / norm, wm, wrest, G, axes, mass_defect, float(norm) ** 2)
+        return cls(bipartition, F / norm, wm, wrest, G, axes, mass_defect, norm**2)
 
     @cached_property
     def K(self) -> np.ndarray:

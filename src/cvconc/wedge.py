@@ -77,37 +77,81 @@ def _aligned_rows(n: int, dtype) -> np.ndarray:
     return np.ndarray((3, stride // itemsize), dtype, raw, -address % _LINE)
 
 
+def _layout(rows: int, cols: int, itemsize: int):
+    """(size, width) of the kernel's walk over a rows x cols matrix: elements
+    per chunk buffer, and column pairs per block, in equal blocks each small
+    enough that the offset-1 slice fills one buffer."""
+    ncp = cols * (cols - 1) // 2
+    # Elements per buffer: whole lines of the budget less the aligning line.
+    size = max((_CHUNK_BUDGET - _LINE) // (3 * _LINE) * (_LINE // itemsize), rows - 1)
+    blocks = -(-ncp // (size // (rows - 1)))
+    return size, -(-ncp // blocks)
+
+
+def _offsets(rows: int, n: int):
+    """(near, far) of a block of n column pairs: the row offsets below near
+    have at least _LONG_RUN / n row pairs each and go as slices; the far row
+    pairs, of the offsets from near on, are gathered."""
+    near = max(1, rows + 1 - -(-_LONG_RUN // n))
+    return near, (rows - near + 1) * (rows - near) // 2
+
+
+def _walk_size(rows: int, cols: int, itemsize: int):
+    """(chunks, pairs, minors) of the kernel's walk over a rows x cols matrix:
+    the chunks it yields, and the row pairs and minors of its gathered chunks."""
+    ncp = cols * (cols - 1) // 2
+    if rows < 2 or ncp == 0:
+        return 0, 0, 0
+    size, width = _layout(rows, cols, itemsize)
+
+    def per_block(n):
+        near, far = _offsets(rows, n)
+        return near - 1 + -(-far // (size // n)), far, far * n
+
+    full, last = divmod(ncp, width)
+    counts = [full * k for k in per_block(width)]
+    if last:
+        counts = [k + t for k, t in zip(counts, per_block(last))]
+    return tuple(counts)
+
+
 def _wedge_blocks(M: np.ndarray):
     """Yield (x, y, chunks) per block of column pairs x < y of M, numbered as in
     _pairs; chunks yields (a, b, D), D[p, k] = M[a_p, x_k] M[b_p, y_k] - M[a_p, y_k] M[b_p, x_k],
     for every row pair a < b before the next block starts: each 2x2 minor once.
     Row pairs (a, a + s) of one offset s are the slices X[:-s], Y[s:] of
     X = M[:, x], Y = M[:, y] while many; the far offsets go as gathered index
-    arrays. D is a buffer the next chunk overwrites; reduce it before the next."""
+    arrays, read-only and shared by every block of one width. D is a buffer
+    the next chunk overwrites; reduce it before the next."""
     M = np.asarray(M, dtype=np.result_type(M, float))  # float64 or complex128
     rows, cols = M.shape
     ncp = cols * (cols - 1) // 2
     if rows < 2 or ncp == 0:
         return
-    # Elements per buffer: whole lines of the budget less the aligning line.
-    size = max((_CHUNK_BUDGET - _LINE) // (3 * _LINE) * (_LINE // M.itemsize), rows - 1)
-    # Equal blocks, each small enough that the offset-1 slice fills one buffer.
-    blocks = -(-ncp // (size // (rows - 1)))
-    width = -(-ncp // blocks)
+    size, width = _layout(rows, cols, M.itemsize)
     buf = _aligned_rows(min(size, rows * (rows - 1) // 2 * width), M.dtype)
     idx = np.arange(rows)
+    by_width = {}  # block width -> (near, the gathered (a, b) of each far chunk)
+
+    def offsets(n):
+        # The offsets s >= near: pairs a < b' of rows - near + 1, b = b' + near - 1.
+        near, far = _offsets(rows, n)
+        pairs = []
+        for q0 in range(0, far, size // n):
+            a, b = _pairs(rows - near + 1, q0, min(q0 + size // n, far))
+            b += near - 1
+            a.flags.writeable = b.flags.writeable = False
+            pairs.append((a, b))
+        return near, pairs
 
     def chunks(x, y):
+        if x.size not in by_width:
+            by_width[x.size] = offsets(x.size)
+        near, far = by_width[x.size]
         X, Y = np.take(M, x, axis=1), np.take(M, y, axis=1)
-        # Offsets below near have at least _LONG_RUN / x.size row pairs.
-        near = max(1, rows + 1 - -(-_LONG_RUN // x.size))
         for s in range(1, near):
             yield idx[:-s], idx[s:], _minors(buf, X, Y, slice(-s), slice(s, None), rows - s)
-        # The offsets s >= near: pairs a < b' of rows - near + 1, b = b' + near - 1.
-        far = (rows - near + 1) * (rows - near) // 2
-        for q0 in range(0, far, size // x.size):
-            a, b = _pairs(rows - near + 1, q0, min(q0 + size // x.size, far))
-            b += near - 1
+        for a, b in far:
             yield a, b, _minors(buf, X, Y, a, b, a.size)
 
     for c0 in range(0, ncp, width):

@@ -7,6 +7,8 @@ integrals, deliberately sharing no code with the package internals, except
 checks minor by minor against a loop.
 """
 
+import math
+
 import numpy as np
 
 
@@ -55,26 +57,31 @@ def lambda_gap(state, bipartition):
     return gap
 
 
-def family_p_norm(state, bipartition, p):
-    """Integral over slice pairs (a, b) of the weighted p-norm (p = 1, 2 or
-    inf) of the wedge of F[a] and F[b] over ordered complement pairs y > x."""
+def family_p_norm(state, bipartition, p, f=lambda x: x):
+    """Integral over slice pairs (a, b) of f of the weighted p-norm (p = 1, 2
+    or inf) of the wedge of F[a] and F[b] over ordered complement pairs y > x.
+    f may return an array of values, one integral each. The sums are
+    math.fsum, so the reference carries no summation round-off of its own."""
     F, wm, wr = _split(state, bipartition)
     gm, gr = F.shape
-    total = 0.0
+    terms = []
     for a in range(gm):
         for b in range(gm):
-            norm = 0.0
+            parts = [0.0]
             for x in range(gr):
                 for y in range(x + 1, gr):
                     d = abs(F[a, x] * F[b, y] - F[a, y] * F[b, x])
                     if p == 1:
-                        norm += d * wr[x] * wr[y]
+                        parts.append(d * wr[x] * wr[y])
                     elif p == 2:
-                        norm += d * d * wr[x] * wr[y]
+                        parts.append(d * d * wr[x] * wr[y])
                     else:
-                        norm = max(norm, d)
-            total += (np.sqrt(norm) if p == 2 else norm) * wm[a] * wm[b]
-    return total
+                        parts[0] = max(parts[0], d)
+            norm = math.fsum(parts)
+            terms.append(f(np.sqrt(norm) if p == 2 else norm) * wm[a] * wm[b])
+    terms = np.array(terms)
+    sums = [math.fsum(column) for column in terms.reshape(len(terms), -1).T]
+    return np.array(sums).reshape(terms.shape[1:])[()]
 
 
 def overlap_concurrence(state, bipartition):

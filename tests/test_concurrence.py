@@ -4,6 +4,7 @@ two-mode Gaussian closed forms."""
 
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cvconc import (
     gauss_hermite_rule,
 )
 from cvconc.errors import DegenerateStateError, InputError
+from cvconc.quadrature import ProductRule
 
 import oracles
 from conftest import random_grid_state, random_product_state, shaped_state
@@ -142,6 +144,72 @@ def test_family_p2_matches_the_slice_pair_sum_on_product_states(shape, members):
     bp = Bipartition(len(shape), members)
     expected = oracles.family_p_norm(state, bp, 2)
     assert abs(family_measure(state, bp, "identity", 2, 1) - expected) < 1e-14
+
+
+FAMILY_PRESETS = {
+    "identity": lambda x: x,
+    "two_x_squared": lambda x: 2.0 * x**2,
+    ("power", 1.5): lambda x: x**1.5,
+}
+
+
+def _presets_at(x):
+    return np.array([g(x) for g in FAMILY_PRESETS.values()])
+
+
+def _walked_shapes(monkeypatch):
+    """Record the shape of every matrix the family hands the wedge kernel."""
+    shapes, original = [], cv.concurrence._wedge_blocks
+
+    def recording_blocks(M):
+        shapes.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(cv.concurrence, "_wedge_blocks", recording_blocks)
+    return shapes
+
+
+# F wide and cheaper to walk by its rows, or tall, square or cheaper by its
+# columns (6 x 36: one gathered chunk of F^T beats five chunks of F).
+@pytest.mark.parametrize("shape, members, side", [
+    ((3, 300), (0,), "F"), ((8, 64), (0,), "F"), ((7, 7, 7), (0,), "F"),
+    ((300, 3), (0,), "FT"), ((64, 8), (0,), "FT"), ((7, 7, 7), (0, 2), "FT"),
+    ((12, 12), (0,), "FT"), ((6, 6, 6), (0,), "FT"),
+])
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_family_matches_the_oracle_on_either_walk_side(monkeypatch, shape, members, side, p):
+    state = shaped_state(np.random.default_rng(sum(shape) + len(members)), shape)
+    bp = Bipartition(len(shape), members)
+    sp = cv.split(state, bp)
+    walked = _walked_shapes(monkeypatch)
+    got = np.array([family_measure(sp, bp, f, p, 1) for f in FAMILY_PRESETS])
+    monkeypatch.undo()
+    assert set(walked) == {sp.F.shape if side == "F" else sp.F.shape[::-1]}
+    expected = oracles.family_p_norm(state, bp, p, _presets_at)
+    assert np.all(np.abs(got - expected) <= 1e-14 * expected), (got, expected)
+
+
+@pytest.mark.parametrize("members, side", [((0,), "F"), ((1,), "FT")])
+@pytest.mark.parametrize("p", [1, np.inf])
+def test_family_on_a_gauss_hermite_split(monkeypatch, members, side, p):
+    # Gauss-Hermite weights differ from node to node, so p = 1 must weight each
+    # minor by w_x w_y on whichever side the walk takes: 4 x 40 by its rows,
+    # 40 x 4 by its columns.
+    r4, r40 = gauss_hermite_rule(4, 1.0, 1), gauss_hermite_rule(40, 1.5, 1)
+    rule = ProductRule(r4.nodes + r40.nodes, r4.weights + r40.weights)
+    spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.2]]))
+    amp, _ = cv.states._sample(spec, rule)
+    bp = Bipartition(2, members)
+    sp = cv.Split.from_blocks(bp, *cv.states._blocks(amp, rule.weights, bp))
+    assert np.ptp(sp.wrest) > 0.1 * sp.wrest.max()
+    walked = _walked_shapes(monkeypatch)
+    got = np.array([family_measure(sp, bp, f, p, 1) for f in FAMILY_PRESETS])
+    monkeypatch.undo()
+    assert walked == [sp.F.shape if side == "F" else sp.F.shape[::-1]] * len(FAMILY_PRESETS)
+    axes = tuple(SimpleNamespace(weights=w) for w in rule.weights)
+    state = SimpleNamespace(amplitudes=amp / np.sqrt(sp.norm_squared), axes=axes)
+    expected = oracles.family_p_norm(state, bp, p, _presets_at)
+    assert np.all(np.abs(got - expected) <= 1e-14 * expected), (got, expected)
 
 
 def test_family_measure_positive_on_entangled():
@@ -386,10 +454,17 @@ WEDGE_CONSUMERS = {
     "A": (concurrence_route_A, oracles.direct_concurrence, lambda shape: sorted(shape)),
     "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, lambda shape: shape),
     "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
-                  lambda s, bp: oracles.family_p_norm(s, bp, 1), lambda shape: shape[::-1]),
+                  lambda s, bp: oracles.family_p_norm(s, bp, 1), lambda shape: _family_walk(shape)),
     "family_pinf": (lambda s, bp: family_measure(s, bp, "identity", np.inf, 1),
-                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf), lambda shape: shape[::-1]),
+                    lambda s, bp: oracles.family_p_norm(s, bp, np.inf),
+                    lambda shape: _family_walk(shape)),
 }
+
+
+def _family_walk(shape):
+    # The family walks a wide F itself (5 x 24 here, whose walk is the cheaper)
+    # and the transpose of a tall one.
+    return shape if shape[0] < shape[1] else shape[::-1]
 
 
 @pytest.mark.parametrize("consumer", sorted(WEDGE_CONSUMERS))

@@ -6,6 +6,8 @@ import dataclasses
 import functools
 import json
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -469,3 +471,61 @@ def test_real_arithmetic_gives_the_complex_results(name):
             assert max(abs(measured), abs(other)) < 1e-10
         else:
             assert abs(measured - other) <= 1e-14, check
+
+
+# Every member set of 2- and 3-mode grids whose axes have unequal spacings.
+GRID_SPLITS = [((9, 7), (0,)), ((9, 7), (1,))] + [
+    ((5, 4, 6), members) for members in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+]
+
+
+@pytest.mark.parametrize("shape, members", GRID_SPLITS)
+@pytest.mark.parametrize("real", [False, True])
+def test_a_grid_split_equals_its_product_rule_split(shape, members, real):
+    # A grid state scales F by its one node weight; the product-rule path
+    # scales it by the matrix of node weights. Both give the same bits.
+    rng = np.random.default_rng(sum(shape) + sum(members))
+    axes = tuple(GridAxis(-2.5 - 0.3 * k, 3.0 + 0.7 * k, n) for k, n in enumerate(shape))
+    amp = rng.normal(size=shape) + (0.0 if real else 1j * rng.normal(size=shape))
+    state = GridState.from_amplitudes(axes, amp)
+    bp = Bipartition(len(shape), members)
+    grid = cv.split(state, bp)
+    rule = cv.Split.from_blocks(
+        bp, *cv.states._blocks(state.amplitudes, [ax.weights for ax in axes], bp))
+    for name in ("F", "G", "wm", "wrest"):
+        a, b = getattr(grid, name), getattr(rule, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert grid.F.dtype == (np.float64 if real else np.complex128)
+    assert grid.norm_squared == rule.norm_squared
+    assert grid.axes == axes and rule.axes is None
+
+
+def test_a_grid_split_holds_no_matrix_of_node_weights(monkeypatch):
+    # Up to the norm of G, splitting a complex 64^2 state holds G (64 KiB) and
+    # no 64 x 64 matrix of node weights (32 KiB) beside it.
+    state = shaped_state(np.random.default_rng(43), (64, 64))
+    peaks, norm = [], np.linalg.norm
+
+    def recording_norm(x, *args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    tracemalloc.start()
+    try:
+        cv.split(state, BP)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 64 * 64 * (16 + 4), peaks
+
+
+def test_a_rule_that_captures_no_mass_is_refused():
+    # On [100, 110]^2 the Gaussian underflows to 0 at every node, so G has norm
+    # 0: refused before any division, with no RuntimeWarning on the way.
+    spec = GaussianPureState(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    rule = midpoint_rule([GridAxis(100.0, 110.0, 8)] * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(cv.InputError, match="no finite mass"):
+            cv.concurrence_gaussian_numeric(spec, BP, rule)
+    assert [w.category for w in caught] == [cv.TruncationWarning]

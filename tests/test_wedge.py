@@ -418,3 +418,42 @@ def test_lagrange_gap_memory_is_bounded():
     g = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     w = rng.uniform(0.5, 1.5, size=4096)
     assert _traced_peak(lambda: lagrange_identity_gap(f, g, w)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_far_row_pairs_are_formed_once_per_block_width(monkeypatch, dtype):
+    # 9 x 40 in 16 blocks of column pairs, 15 of 49 and one of 45, with the
+    # row offsets 5 to 8 gathered in two chunks per block. Each block meets
+    # the row pairs as a walk that formed them afresh would, by offset as
+    # slices and then row by row, every minor bit for bit the difference of
+    # two products of entries; _pairs forms the far pairs once per width.
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(KERNEL, "_CHUNK_BUDGET", KERNEL._LINE + 3 * 400 * itemsize)
+    monkeypatch.setattr(KERNEL, "_LONG_RUN", 200)
+    rng = np.random.default_rng(18)
+    M = rng.normal(size=(9, 40)).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.normal(size=(9, 40))
+    calls, pairs = [], KERNEL._pairs
+
+    def counted(n, start, stop):
+        calls.append(n)
+        return pairs(n, start, stop)
+
+    monkeypatch.setattr(KERNEL, "_pairs", counted)
+    order = ([(a, a + s) for s in range(1, 5) for a in range(9 - s)]
+             + [(a, b) for a in range(9) for b in range(a + 5, 9)])
+    widths = []
+    for x, y, chunks in KERNEL._wedge_blocks(M):
+        widths.append(x.size)
+        met, gathered = [], 0
+        for a, b, d in chunks:
+            met += zip(a.tolist(), b.tolist())
+            gathered += np.ptp(b - a) > 0
+            expected = M[a][:, x] * M[b][:, y] - M[a][:, y] * M[b][:, x]
+            assert d.dtype == M.dtype and np.array_equal(d, expected)
+        assert met == order and gathered == 2
+    assert widths == [49] * 15 + [45]
+    # 16 blocks of column pairs, and two far chunks for each of the two widths,
+    # where forming them per block took 16 + 16 * 2.
+    assert calls.count(40) == 16 and len(calls) == 16 + 2 * 2
