@@ -3,6 +3,7 @@ separability criterion for n-mode Gaussian pure states."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,24 @@ class TwoModeGaussianSpec:
 def closed_form_concurrence(spec: TwoModeGaussianSpec) -> float:
     """Squared concurrence across the two modes.
 
-    Real branch:      2 [1 - sqrt(4ab - c^2) / (2 sqrt(ab))]
-    Imaginary branch: 2 [1 - 2 sqrt(ab) / sqrt(4ab + m^2)] with c = i m.
+    Real branch:      2 [1 - sqrt(4ab - c^2) / (2 sqrt(ab))] = 2u / (1 + sqrt(1 - u)),
+                      u = c^2 / (4ab)
+    Imaginary branch: 2 [1 - 2 sqrt(ab) / sqrt(4ab + m^2)]
+                      = 2v / (sqrt(1 + v) (1 + sqrt(1 + v))), v = m^2 / (4ab), c = i m
+    The second forms, evaluated here, subtract nothing close to 1, so a weak
+    coupling keeps its relative precision (the first gives 0 for the 2.5e-19
+    of a = b = 1, c = 1e-9). u = v = r^2 with r = |c| / (2 sqrt(a) sqrt(b)),
+    which ab would underflow; the factors r/s and r/(1 + s), s = hypot(1, r),
+    cannot overflow.
     """
-    ab = spec.a * spec.b
+    r = abs(spec.c) / (2.0 * math.sqrt(spec.a) * math.sqrt(spec.b))
     if spec.branch == "real_c":
-        c = spec.c.real
-        return 2.0 * (1.0 - np.sqrt(4.0 * ab - c * c) / (2.0 * np.sqrt(ab)))
-    m = spec.c.imag
-    return 2.0 * (1.0 - 2.0 * np.sqrt(ab) / np.sqrt(4.0 * ab + m * m))
+        r = min(r, 1.0)  # r < 1 for a physical c, up to the rounding of that test
+        return 2.0 * r * r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+    if math.isinf(r):
+        return 2.0
+    s = math.hypot(1.0, r)
+    return 2.0 * (r / s) * (r / (1.0 + s))
 
 
 def closed_form_normalization(spec: TwoModeGaussianSpec) -> float:

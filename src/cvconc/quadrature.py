@@ -3,7 +3,9 @@ Gauss-Hermite rules for integrands with Gaussian decay."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +46,14 @@ class ProductRule:
         return count
 
 
+def _whole_number(value, what: str) -> int:
+    """value as an int when it is a whole real number, such as 4, 4.0 or
+    np.int64(4); int() would truncate 2.9 to 2 and read the string "4"."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InputError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _product_weights(weights) -> np.ndarray:
     """Weight of every node of a product grid: the outer product of the
     per-axis weight vectors."""
@@ -61,6 +71,16 @@ def midpoint_rule(axes) -> ProductRule:
     )
 
 
+@lru_cache(maxsize=16)
+def _hermite_nodes(points: int):
+    """Read-only nodes x and total weights w exp(x^2) of the points-node
+    Gauss-Hermite rule, which depend on the point count alone."""
+    x, w = np.polynomial.hermite.hermgauss(points)
+    total = w * np.exp(x**2)
+    x.flags.writeable = total.flags.writeable = False
+    return x, total
+
+
 def gauss_hermite_rule(points_per_axis: int, scale=1.0, ndim: int = None) -> ProductRule:
     """Rescaled Gauss-Hermite rule with total weights w_i * exp(x_i^2).
 
@@ -68,15 +88,15 @@ def gauss_hermite_rule(points_per_axis: int, scale=1.0, ndim: int = None) -> Pro
     sum w~_i f(x_i) ~= int f(x) dx, exactly when f(x) = exp(-(x/s)^2) p(x)
     with p a polynomial of degree < 2 * points_per_axis.
     """
-    if points_per_axis < 1:
+    points = _whole_number(points_per_axis, "Gauss-Hermite points per axis")
+    if points < 1:
         raise InputError("Gauss-Hermite rule needs at least one node")
     scales = np.atleast_1d(np.asarray(scale, dtype=float))
     if ndim is not None and scales.size == 1:
         scales = np.full(ndim, scales[0])
     if not np.all((scales > 0.0) & np.isfinite(scales)):
         raise InputError("scales must be positive and finite")
-    x, w = np.polynomial.hermite.hermgauss(points_per_axis)
-    total = w * np.exp(x**2)
+    x, total = _hermite_nodes(points)
     return ProductRule(
         nodes=tuple(s * x for s in scales),
         weights=tuple(s * total for s in scales),

@@ -5,7 +5,6 @@ member and complement blocks that every concurrence route reads."""
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -13,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, StateValidityError, TruncationWarning
-from .quadrature import ProductRule, _product_weights, midpoint_rule
+from .quadrature import ProductRule, _product_weights, _whole_number, midpoint_rule
 
 NORM_TOL = 1e-9
 MASS_DEFECT_WARN = 1e-3
@@ -36,12 +35,10 @@ class GridAxis:
             raise InputError(f"axis bounds must be finite, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise InputError(f"axis requires max > min, got [{self.min}, {self.max}]")
-        # int() would truncate 2.9 to 2 points, so a non-integral count is refused.
-        if not (isinstance(self.points, numbers.Real) and float(self.points).is_integer()):
-            raise InputError(f"axis points must be a whole number, got {self.points!r}")
-        if int(self.points) < 2:
+        points = _whole_number(self.points, "axis points")
+        if points < 2:
             raise InputError("axis requires at least 2 points")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "points", points)
 
     @property
     def delta(self) -> float:
@@ -211,13 +208,15 @@ class Bipartition:
     members: tuple
 
     def __post_init__(self):
-        members = tuple(sorted({int(i) for i in self.members}))
-        if self.n < 2:
+        n = _whole_number(self.n, "bipartition size n")
+        members = tuple(sorted({_whole_number(i, "bipartition members") for i in self.members}))
+        if n < 2:
             raise InputError("bipartition requires at least two degrees of freedom")
-        if any(i < 0 or i >= self.n for i in members):
-            raise InputError(f"members must lie in 0..{self.n - 1}")
-        if not 1 <= len(members) <= self.n - 1:
+        if any(i < 0 or i >= n for i in members):
+            raise InputError(f"members must lie in 0..{n - 1}")
+        if not 1 <= len(members) <= n - 1:
             raise InputError("bipartition needs 1 <= |M| <= n-1")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
     @cached_property

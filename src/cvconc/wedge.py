@@ -5,6 +5,7 @@ for route A, the family, the Lambda gap, the witness and the Lagrange check."""
 from __future__ import annotations
 
 import ctypes
+import threading
 from math import isqrt
 
 import numpy as np
@@ -34,26 +35,31 @@ def _row(n: int, p: int) -> int:
 def _pairs(n: int, start: int, stop: int):
     """Index arrays (i, j), i < j < n, of the pairs numbered start..stop-1 row
     by row, without the other pairs: row i starts at number i (2n - 1 - i) / 2
-    and holds n - 1 - i pairs, j = i + 1 .. n - 1."""
+    and holds n - 1 - i pairs, j = i + 1 .. n - 1. Beyond arrays of one entry
+    per row, only the two results are allocated."""
     i0, i1 = _row(n, start), _row(n, stop - 1)
     rows = np.arange(i0, i1 + 1)
     # The first row starts at start, the last ends before stop.
     counts = n - 1 - rows
     counts[0] -= start - i0 * (2 * n - 1 - i0) // 2
     counts[-1] -= (i1 + 1) * (2 * n - 2 - i1) // 2 - stop
-    # j = p + 1 + i - (first number of row i) = p + 1 - i (2n - 3 - i) / 2.
-    shift = rows * (2 * n - 3 - rows) // 2
-    return rows.repeat(counts), np.arange(start + 1, stop + 1) - shift.repeat(counts)
+    # j steps by 1 within a row, from j = p + 1 - i (2n - 3 - i) / 2 at p = start,
+    # and from n - 1 to i + 1 where row i starts: a running sum in place.
+    j = np.ones(stop - start, dtype=np.intp)
+    j[0] = start + 1 - i0 * (2 * n - 3 - i0) // 2
+    j[np.cumsum(counts[:-1])] = rows[1:] + 2 - n
+    return rows.repeat(counts), np.cumsum(j, out=j)
 
 
 def _minors(buf, X, Y, a, b, n):
-    """X[a] Y[b] - Y[a] X[b] for n row pairs in buf[0]; a, b: slices or gathered indices
-    (take mode "clip", as "raise" buffers the output)."""
+    """X[a] Y[b] - Y[a] X[b] for n row pairs in buf[0]; a, b: slices, or _readonly
+    views of gathered indices (take mode "clip", as "raise" buffers the output)."""
     d, p, g = buf[:, :n * X.shape[1]].reshape(3, n, X.shape[1])
     if isinstance(a, slice):
         np.multiply(X[a], Y[b], out=d)
         np.multiply(Y[a], X[b], out=p)
     else:
+        a, b = a.base, b.base
         np.multiply(X.take(a, 0, d, "clip"), Y.take(b, 0, g, "clip"), out=d)
         np.multiply(Y.take(a, 0, p, "clip"), X.take(b, 0, g, "clip"), out=p)
     d -= p
@@ -115,47 +121,111 @@ def _walk_size(rows: int, cols: int, itemsize: int):
     return tuple(counts)
 
 
+def _readonly(*arrays):
+    """Read-only views of index arrays, as the walk hands them out; it gathers
+    with their writable bases, since np.take first copies a read-only index."""
+    views = tuple(a.view() for a in arrays)
+    for v in views:
+        v.flags.writeable = False
+    return views
+
+
+def _far_chunks(rows: int, near: int, n: int, size: int):
+    """Yield (a, b) of the far row pairs of a block of n column pairs, the
+    offsets s >= near, a chunk of at most size // n pairs at a time: pairs
+    a < b' of rows - near + 1, b = b' + near - 1."""
+    far, step = _offsets(rows, n)[1], size // n
+    for q0 in range(0, far, step):
+        a, b = _pairs(rows - near + 1, q0, min(q0 + step, far))
+        b += near - 1
+        yield _readonly(a, b)
+        del a, b  # free them before the next chunk's are formed
+
+
+def _build_plan(rows: int, cols: int, itemsize: int):
+    """(plan, nbytes) of the walk over a rows x cols matrix, from _CHUNK_BUDGET
+    and _LONG_RUN as they are now. The plan is its shape-only part: (size,
+    width) of _layout, the row numbers, the (x, y) of each block, and per
+    block width (near, the (a, b) of each far chunk, or None to form them
+    chunk by chunk). It holds every index array, nbytes of them, when they
+    fit in the budget. Otherwise nbytes is None, and the plan forms each
+    block's column pairs as the walk reaches it, and a width's far row pairs
+    once, or per chunk when they alone exceed the budget: a walk then holds
+    O(budget + rows + cols) of indices."""
+    ncp = cols * (cols - 1) // 2
+    size, width = _layout(rows, cols, itemsize)
+    offsets = {n: _offsets(rows, n) for n in {width, ncp % width} - {0}}
+    index = np.dtype(np.intp).itemsize
+    nbytes = index * (rows + 2 * ncp + 2 * sum(far for _, far in offsets.values()))
+    kept = nbytes <= _CHUNK_BUDGET
+    blocks = (_readonly(*_pairs(cols, c0, min(c0 + width, ncp))) for c0 in range(0, ncp, width))
+    far = {n: (near, tuple(_far_chunks(rows, near, n, size))
+                     if kept or 2 * index * count <= _CHUNK_BUDGET else None)
+           for n, (near, count) in offsets.items()}
+    idx, = _readonly(np.arange(rows))
+    if not kept:
+        return (size, width, idx, blocks, far), None
+    return (size, width, idx, tuple(blocks), far), nbytes
+
+
+class _PlanCache:
+    """Walk plans and their nbytes by (rows, cols, itemsize, _CHUNK_BUDGET,
+    _LONG_RUN), least recently used first, holding at most _CHUNK_BUDGET
+    bytes of indices in all; a plan that alone exceeds it serves one walk.
+    A lock keeps the plans and their byte count consistent across threads."""
+
+    def __init__(self):
+        self.plans, self.nbytes, self.lock = {}, 0, threading.Lock()
+
+    def get(self, rows: int, cols: int, itemsize: int):
+        key = (rows, cols, itemsize, _CHUNK_BUDGET, _LONG_RUN)
+        with self.lock:
+            entry = self.plans.pop(key, None)
+            if entry is None:
+                entry = _build_plan(rows, cols, itemsize)
+                if entry[1] is None:
+                    return entry[0]
+                self.nbytes += entry[1]
+                while self.plans and self.nbytes > _CHUNK_BUDGET:
+                    self.nbytes -= self.plans.pop(next(iter(self.plans)))[1]
+            self.plans[key] = entry
+            return entry[0]
+
+    def clear(self):
+        with self.lock:
+            self.plans.clear()
+            self.nbytes = 0
+
+
+_PLANS = _PlanCache()
+
+
 def _wedge_blocks(M: np.ndarray):
     """Yield (x, y, chunks) per block of column pairs x < y of M, numbered as in
     _pairs; chunks yields (a, b, D), D[p, k] = M[a_p, x_k] M[b_p, y_k] - M[a_p, y_k] M[b_p, x_k],
     for every row pair a < b before the next block starts: each 2x2 minor once.
     Row pairs (a, a + s) of one offset s are the slices X[:-s], Y[s:] of
     X = M[:, x], Y = M[:, y] while many; the far offsets go as gathered index
-    arrays, read-only and shared by every block of one width. D is a buffer
-    the next chunk overwrites; reduce it before the next."""
+    arrays. Every index array is read-only, from the shape's cached plan when
+    it has one. D is a buffer the next chunk overwrites; reduce it before the
+    next."""
     M = np.asarray(M, dtype=np.result_type(M, float))  # float64 or complex128
     rows, cols = M.shape
-    ncp = cols * (cols - 1) // 2
-    if rows < 2 or ncp == 0:
+    if rows < 2 or cols < 2:
         return
-    size, width = _layout(rows, cols, M.itemsize)
+    size, width, idx, blocks, far = _PLANS.get(rows, cols, M.itemsize)
     buf = _aligned_rows(min(size, rows * (rows - 1) // 2 * width), M.dtype)
-    idx = np.arange(rows)
-    by_width = {}  # block width -> (near, the gathered (a, b) of each far chunk)
-
-    def offsets(n):
-        # The offsets s >= near: pairs a < b' of rows - near + 1, b = b' + near - 1.
-        near, far = _offsets(rows, n)
-        pairs = []
-        for q0 in range(0, far, size // n):
-            a, b = _pairs(rows - near + 1, q0, min(q0 + size // n, far))
-            b += near - 1
-            a.flags.writeable = b.flags.writeable = False
-            pairs.append((a, b))
-        return near, pairs
 
     def chunks(x, y):
-        if x.size not in by_width:
-            by_width[x.size] = offsets(x.size)
-        near, far = by_width[x.size]
-        X, Y = np.take(M, x, axis=1), np.take(M, y, axis=1)
+        near, pairs = far[x.size]
+        X, Y = np.take(M, x.base, axis=1), np.take(M, y.base, axis=1)
         for s in range(1, near):
             yield idx[:-s], idx[s:], _minors(buf, X, Y, slice(-s), slice(s, None), rows - s)
-        for a, b in far:
+        for a, b in _far_chunks(rows, near, x.size, size) if pairs is None else pairs:
             yield a, b, _minors(buf, X, Y, a, b, a.size)
+            del a, b  # as in _far_chunks
 
-    for c0 in range(0, ncp, width):
-        x, y = _pairs(cols, c0, min(c0 + width, ncp))
+    for x, y in blocks:
         yield x, y, chunks(x, y)
 
 

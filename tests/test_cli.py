@@ -119,6 +119,15 @@ def test_cmd_gaussian_entangled(capsys):
     assert out["verdict"] == "entangled"
 
 
+@pytest.mark.parametrize("branch", ["real", "imag"])
+def test_cmd_gaussian_weak_coupling_is_entangled(capsys, branch):
+    # E^2 = 2.5e-19 read 0.0, and the verdict "separable".
+    assert main(["gaussian", "--a", "1", "--b", "1", "--c", "1e-9", "--branch", branch]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["E2"] - 2.5e-19) <= 1e-15 * 2.5e-19
+    assert out["verdict"] == "entangled"
+
+
 def test_cmd_gaussian_unphysical_exit_code(capsys):
     assert main(["gaussian", "--a", "1", "--b", "1", "--c", "2"]) == 1
     assert "normalizable" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Closed-form two-mode results, the cross-block separability criterion, and
 sweeps, cross-checked against the grid pipeline."""
 
+import decimal
 import warnings
 
 import numpy as np
@@ -34,6 +35,36 @@ def test_closed_form_real_branch():
 def test_closed_form_imag_branch():
     value = closed_form_concurrence(TwoModeGaussianSpec(1.0, 1.0, 2.0j))
     assert abs(value - (2.0 - np.sqrt(2.0))) < 1e-15
+
+
+def _closed_form_reference(a, b, c, imag):
+    """The paper's forms of both branches at 50 digits, from the exact floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c = decimal.Decimal(a), decimal.Decimal(b), decimal.Decimal(c)
+        root = (4 * a * b).sqrt()
+        if imag:
+            return float(2 * (1 - root / (4 * a * b + c * c).sqrt()))
+        return float(2 * (1 - (4 * a * b - c * c).sqrt() / root))
+
+
+@pytest.mark.parametrize("imag", [False, True])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.7, 2.3), (40.0, 0.03)])
+def test_closed_form_keeps_relative_precision_on_weak_coupling(a, b, imag):
+    # 2 [1 - sqrt(4ab - c^2) / (2 sqrt(ab))] read 0 at c = 1e-9 and lost 8.9e-5
+    # of its value at c = 1e-6.
+    for c in np.logspace(-1, -9, 17):
+        spec = TwoModeGaussianSpec(a, b, 1j * c if imag else c)
+        reference = _closed_form_reference(a, b, c, imag)
+        assert abs(closed_form_concurrence(spec) - reference) <= 1e-14 * reference, c
+        row = sweep_concurrence(a, b, "imag" if imag else "real", [c])[0]
+        assert row[1] == closed_form_concurrence(spec)
+
+
+def test_closed_form_imag_branch_at_huge_coupling():
+    # m^2 overflows; E^2 tends to 2.
+    assert closed_form_concurrence(TwoModeGaussianSpec(1e-300, 1e-300, 1e300j)) == 2.0
+    assert closed_form_concurrence(TwoModeGaussianSpec(1.0, 1.0, 1e200j)) == 2.0
 
 
 def test_closed_form_branch_detection():

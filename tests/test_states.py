@@ -48,6 +48,37 @@ def test_axis_accepts_whole_point_counts(points):
     assert ax.points == 4 and type(ax.points) is int
 
 
+@pytest.mark.parametrize("points", [2.5, np.nan, "4", None])
+def test_gauss_hermite_points_must_be_whole(points):
+    # numpy's hermgauss raised TypeError on these.
+    with pytest.raises(InputError, match="whole number"):
+        cv.gauss_hermite_rule(points)
+
+
+def test_gauss_hermite_accepts_whole_point_counts():
+    # 16.0 and np.int64(16) are the count 16, and share its cached nodes.
+    cv.quadrature._hermite_nodes.cache_clear()
+    rules = [cv.gauss_hermite_rule(points) for points in (16, 16.0, np.int64(16))]
+    assert all(r.nodes[0].size == 16 and np.array_equal(r.weights[0], rules[0].weights[0])
+               for r in rules)
+    info = cv.quadrature._hermite_nodes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("n", [2.5, np.nan, "2", None])
+def test_bipartition_size_must_be_whole(n):
+    # Bipartition(2.5, (0,)) was built, and its complement raised TypeError.
+    with pytest.raises(InputError, match="whole number"):
+        Bipartition(n, (0,))
+
+
+@pytest.mark.parametrize("n", [2.0, np.int64(2), np.float64(2.0)])
+def test_bipartition_accepts_whole_sizes(n):
+    bp = Bipartition(n, (np.int64(0),))
+    assert bp.n == 2 and type(bp.n) is int and bp.complement == (1,)
+    assert bp == Bipartition(2, (0,))
+
+
 def test_state_file_with_fractional_points_is_refused(tmp_path):
     # 2.9 points read as 2 and then failed the norm check (exit 2), which
     # pointed at the amplitudes rather than the axis.

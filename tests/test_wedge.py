@@ -1,6 +1,8 @@
 """Wedge coefficients and their weighted norms, the extended Lagrange
 identity, and the minors and memory bound of the chunked wedge kernel."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from cvconc import (
     lambda_invariance_gap,
 )
 from cvconc import concurrence as cv_concurrence
+from cvconc import quadrature as cv_quadrature
 from cvconc import transpose as cv_transpose
 from cvconc.errors import InputError
 
@@ -412,6 +415,20 @@ def test_family_memory_is_bounded_on_a_long_member_block(p):
     assert _traced_peak(lambda: family_measure(state, bp, "identity", p, 1)) < 4 * 2**20
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(4096, 2), (2, 4096)])
+def test_route_A_memory_is_bounded_on_a_long_row_walk(shape, dtype):
+    # Route A walks G as 4096 x 2 either way: one column pair, whose 523 776
+    # far row pairs take 8.4 MB of indices (9.3 MiB traced when a width's
+    # chunks were all held at once). They are formed chunk by chunk.
+    rng = np.random.default_rng(19)
+    amp = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        amp += 1j * rng.normal(size=shape)
+    state = GridState.from_amplitudes(tuple(GridAxis(-4.0, 4.0, n) for n in shape), amp)
+    assert _traced_peak(lambda: concurrence_route_A(state, Bipartition(2, (0,)))) < 2 * 2**20
+
+
 def test_lagrange_gap_memory_is_bounded():
     rng = np.random.default_rng(10)
     f = rng.normal(size=4096) + 1j * rng.normal(size=4096)
@@ -434,6 +451,8 @@ def test_far_row_pairs_are_formed_once_per_block_width(monkeypatch, dtype):
     M = rng.normal(size=(9, 40)).astype(dtype)
     if dtype is complex:
         M += 1j * rng.normal(size=(9, 40))
+    # A cached plan of this shape would form no pairs at all: count a cold build.
+    KERNEL._PLANS.clear()
     calls, pairs = [], KERNEL._pairs
 
     def counted(n, start, stop):
@@ -457,3 +476,124 @@ def test_far_row_pairs_are_formed_once_per_block_width(monkeypatch, dtype):
     # 16 blocks of column pairs, and two far chunks for each of the two widths,
     # where forming them per block took 16 + 16 * 2.
     assert calls.count(40) == 16 and len(calls) == 16 + 2 * 2
+
+
+def _walk(M):
+    """Every block's (x, y) and every chunk's (a, b, D) of the kernel on M, copied."""
+    return [(x.tolist(), y.tolist(), [(a.tolist(), b.tolist(), d.tolist()) for a, b, d in chunks])
+            for x, y, chunks in KERNEL._wedge_blocks(M)]
+
+
+# The shapes of G in a lib-corpus pass (8^2 to 16^2, 6^3 to 8^3 split one axis
+# against two) and in a cli-verify pass (24^2, 32^2, 8^3, 10^3, 18^3). The
+# plans of the walks over 18 x 324 and 2 x 324 exceed the budget, and are not kept.
+BENCH_SHAPES = [(8, 8), (12, 12), (16, 16), (6, 36), (36, 6), (7, 49), (49, 7), (8, 64),
+                (64, 8), (24, 24), (32, 32), (10, 100), (100, 10), (18, 324)]
+
+
+def _consumers(M):
+    """Every consumer of the kernel on the matrix M, by name."""
+    sp = raw_split(M)
+    w = np.linspace(0.5, 1.5, M.shape[1])
+    return {
+        "route_A": lambda: cv_concurrence._wedge_sum_and_max(M),
+        "family_p1": lambda: family_measure(sp, sp.bipartition, "two_x_squared", 1, 1),
+        "family_pinf": lambda: family_measure(sp, sp.bipartition, "identity", np.inf, 1),
+        "lambda_gap": lambda: lambda_invariance_gap(sp, sp.bipartition),
+        "lagrange": lambda: lagrange_identity_gap(M[0], M[-1], w),
+        "witness": lambda: cv_concurrence._witness_quadruple(M),
+    }
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_consumers_agree_bit_for_bit_with_the_plan_cold_and_warm(shape, dtype):
+    rng = np.random.default_rng(20)
+    M = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.normal(size=shape)
+    for name, run in _consumers(M).items():
+        KERNEL._PLANS.clear()
+        cold = run()
+        assert KERNEL._PLANS.plans or shape == (18, 324), name
+        assert run() == cold, name
+
+
+@pytest.mark.parametrize("name, value", [("_CHUNK_BUDGET", 64 + 3 * 400 * 16),
+                                         ("_LONG_RUN", 10**6)])
+def test_a_patched_budget_or_long_run_gets_a_fresh_plan(monkeypatch, name, value):
+    # A plan cached under the default settings must not serve the patched walk.
+    rng = np.random.default_rng(21)
+    M = rng.normal(size=(9, 40)) + 1j * rng.normal(size=(9, 40))
+    KERNEL._PLANS.clear()
+    default = _walk(M)
+    monkeypatch.setattr(KERNEL, name, value)
+    patched = _walk(M)
+    KERNEL._PLANS.clear()
+    assert patched == _walk(M) != default
+    monkeypatch.undo()
+    assert _walk(M) == default
+
+
+def test_plan_arrays_and_hermite_nodes_are_read_only():
+    rng = np.random.default_rng(22)
+    M = rng.normal(size=(40, 40))
+    KERNEL._PLANS.clear()
+    for _ in range(2):  # the walk that builds the plan, then one that reads it
+        for x, y, chunks in KERNEL._wedge_blocks(M):
+            arrays = [x, y] + [v for a, b, _ in chunks for v in (a, b)]
+            assert not any(v.flags.writeable for v in arrays)
+            with pytest.raises(ValueError):
+                x[0] = 1
+    ((_, _, idx, blocks, far), _), = KERNEL._PLANS.plans.values()
+    arrays = [idx, *(v for xy in blocks for v in xy),
+              *(v for _, pairs in far.values() for ab in pairs for v in ab)]
+    assert not any(v.flags.writeable for v in arrays)
+    for v in cv_quadrature._hermite_nodes(16):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+
+def test_plan_cache_holds_no_more_than_the_budget():
+    # 2 x c walks: a plan of 2 C(c, 2) column-pair indices, 79 KB at c = 100
+    # and 717 KB at c = 300; the 2 x 330 plan (869 KB) alone exceeds the budget.
+    KERNEL._PLANS.clear()
+    rng = np.random.default_rng(23)
+    for cols in [*range(100, 320, 20), 330, 12, 16]:
+        M = rng.normal(size=(2, cols))
+        assert _walk(M)
+        plans = KERNEL._PLANS.plans
+        assert KERNEL._PLANS.nbytes == sum(n for _, n in plans.values()) <= KERNEL._CHUNK_BUDGET
+        assert ((2, cols, 8, KERNEL._CHUNK_BUDGET, KERNEL._LONG_RUN) in plans) == (cols != 330)
+    assert len(KERNEL._PLANS.plans) < 13
+
+
+def test_plan_cache_stays_consistent_across_threads():
+    # Four threads walk 2 x c matrices whose plans evict one another; a lost
+    # update of the cache would break its byte count or a walk's minors.
+    rng = np.random.default_rng(24)
+    matrices = [rng.normal(size=(2, cols)) for cols in range(100, 300, 10)]
+    KERNEL._PLANS.clear()
+    expected = [_walk(M) for M in matrices]
+    mismatches = []
+
+    def work(order):
+        for k in order:
+            if _walk(matrices[k]) != expected[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(rng.permutation(len(matrices)),))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and mismatches == []
+    plans = KERNEL._PLANS.plans
+    assert KERNEL._PLANS.nbytes == sum(n for _, n in plans.values()) <= KERNEL._CHUNK_BUDGET
