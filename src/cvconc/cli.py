@@ -87,15 +87,19 @@ def cmd_gaussian(args) -> int:
         TwoModeGaussianSpec,
         closed_form_concurrence,
         closed_form_normalization,
+        gaussian_separability,
     )
+    from .states import Bipartition
 
     c = 1j * args.c if args.branch == "imag" else args.c
     spec = TwoModeGaussianSpec(args.a, args.b, c)
-    e2 = closed_form_concurrence(spec)
+    # The library's exact criterion, under which a cross entry within
+    # CROSS_BLOCK_TOL of 0 reads as 0, though E2 is then above 0.
+    separability = gaussian_separability(spec.to_precision_matrix().A, Bipartition(2, (0,)))
     result = {
-        "E2": e2,
+        "E2": closed_form_concurrence(spec),
         "norm": closed_form_normalization(spec),
-        "verdict": "separable" if e2 == 0.0 else "entangled",
+        "verdict": separability.verdict,
     }
     print(json.dumps(result))
     return EXIT_OK

@@ -3,6 +3,7 @@ parametrized measure family, and separability decisions with witnesses."""
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -15,6 +16,10 @@ from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _
 from .wedge import _walk_size, _wedge_blocks
 
 DEFAULT_THRESHOLD = 1e-8
+# Relative band within which the witness search counts candidates as tied:
+# the round-off of the sums it compares, about n eps for n terms, stays inside
+# it up to n ~ 10^5, and no witness gains from a larger value that close.
+_TIE_BAND = 1e-10
 # Bytes of minors above which route A walks the side of G with more rows.
 _MANY_MINOR_BYTES = 2**23
 # Gathered row pairs, and gathered minors, that cost the family's walk about
@@ -213,29 +218,53 @@ def _schmidt_rank(weights: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(weights > threshold))
 
 
+def _first_at_least(values: np.ndarray, floor: float) -> int:
+    """Index of the first of values at or above floor."""
+    return int(np.argmax(values >= floor))
+
+
 def _witness_quadruple(G: np.ndarray):
     """A grid quadruple (a, b, x, y) with a large wedge coefficient and its
     weighted |coefficient|^2, found in O(gm gmbar + gmbar^2) time and the
     wedge kernel's memory.
 
-    a is the row of largest norm; b maximizes the wedge norm
-    |G_a|^2 |G_b|^2 - |<G_a, G_b>|^2 (Lagrange identity); (x, y), x < y, is the
-    first largest |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 in the kernel's walk over
-    the column pairs of [G_a; G_b].
+    a is a row of largest norm; b maximizes the wedge norm
+    |G_a|^2 |G_b|^2 - |<G_a, G_b>|^2 (Lagrange identity); (x, y), x < y,
+    maximizes |G[a,x] G[b,y] - G[a,y] G[b,x]|^2 over the kernel's walk of the
+    column pairs of [G_a; G_b]. Values that tie in exact arithmetic, as a
+    mirror-symmetric state's do, differ by round-off, and a bare argmax would
+    let the order of a sum (a real or a complex BLAS call) choose among them.
+    So each choice takes the first candidate, in row or walk order, within
+    _TIE_BAND of the largest, relative to the size of the terms it is formed
+    from: the largest norm, |G_a|^2 times it, and the largest |coefficient|^2.
     """
     norms = np.sum(np.abs(G) ** 2, axis=1)
-    a = int(np.argmax(norms))
-    overlaps = G @ G[a].conj()
-    b = int(np.argmax(norms[a] * norms - np.abs(overlaps) ** 2))
-    best = -1.0
-    for x, y, chunks in _wedge_blocks(G[[a, b]]):
-        # One row pair, so the block is one chunk over its column pairs (x, y).
-        _, _, d = next(chunks)
-        mag = np.abs(d[0]) ** 2
-        j = int(np.argmax(mag))
-        if mag[j] > best:
-            best, quad = float(mag[j]), (a, b, int(x[j]), int(y[j]))
-    return quad, best
+    largest = float(norms.max())
+    a = _first_at_least(norms, largest - _TIE_BAND * largest)
+    wedge = norms[a] * norms - np.abs(G @ G[a].conj()) ** 2
+    b = _first_at_least(wedge, wedge.max() - _TIE_BAND * norms[a] * largest)
+
+    def blocks():
+        for x, y, chunks in _wedge_blocks(G[[a, b]]):
+            # One row pair, so the block is one chunk over its column pairs (x, y).
+            _, _, d = next(chunks)
+            yield x, y, np.abs(d[0]) ** 2
+
+    # The largest |coefficient|^2 of each block, and the block of the first
+    # candidate as the largest so far places it; when a larger one moves that
+    # candidate to an earlier block, that block is walked again at the end.
+    maxima, held, top = [], None, 0.0
+    for k, (x, y, mag) in enumerate(blocks()):
+        maxima.append(float(mag.max()))
+        top = max(top, maxima[-1])
+        floor = top - _TIE_BAND * top
+        if held is None or maxima[held[0]] < floor:
+            first = _first_at_least(np.array(maxima), floor) if held else 0
+            held = (first, (x, y, mag) if first == k else None)
+    first, block = held
+    x, y, mag = block or next(itertools.islice(blocks(), first, None))
+    j = _first_at_least(mag, floor)
+    return (a, b, int(x[j]), int(y[j])), float(mag[j])
 
 
 def decide_separability(
@@ -293,6 +322,21 @@ def decide_separability(
     )
 
 
+def _squared_concurrence(weights: np.ndarray) -> float:
+    """E^2 = 2 (1 - sum lambda_j^2 / (sum lambda_j)^2) of the Schmidt weights
+    lambda_1 >= lambda_2 >= ..., as 2 [2 lambda_1 T + T^2 - sum_{j>=2} lambda_j^2]
+    / (sum lambda_j)^2 with T = sum_{j>=2} lambda_j.
+
+    (sum lambda_j)^2 - sum lambda_j^2 expands to the bracket, which subtracts
+    nothing close to 1: on a weakly entangled state, where E^2 ~ 4 lambda_2,
+    1 - sum lambda_j^2 would cancel to the round-off of lambda_1^2.
+    """
+    lead, rest = float(weights[0]), weights[1:]
+    tail = float(rest.sum())
+    total = lead + tail
+    return 2.0 * (2.0 * lead * tail + tail * tail - float(rest @ rest)) / (total * total)
+
+
 @dataclass(frozen=True)
 class ConcurrenceReport:
     """E2 = 2 (1 - sum sigma_i^4), entropy, Schmidt rank and verdict from one SVD
@@ -320,7 +364,7 @@ def concurrence_report(state: GridState | Split, bipartition: Bipartition,
     sp = split(state, bipartition)
     weights = sp.schmidt
     rank = _schmidt_rank(weights, threshold)
-    e2 = 2.0 * (1.0 - float(weights @ weights))
+    e2 = _squared_concurrence(weights)
     values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in routes}
     spread = [*values.values(), e2]
     return ConcurrenceReport(
@@ -343,6 +387,6 @@ def concurrence_gaussian_numeric(
 ) -> ConcurrenceReport:
     """Evaluate a Gaussian pure state on a product rule and report it; on the
     midpoint rule of a grid this is the report of the discretized state."""
-    amp, defect = _sample(state, rule)
+    amp, defect = _sample(state, rule.nodes, rule.weights)
     sp = Split.from_blocks(bipartition, *_blocks(amp, rule.weights, bipartition), defect)
     return concurrence_report(sp, bipartition, threshold)

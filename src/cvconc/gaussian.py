@@ -25,8 +25,8 @@ class TwoModeGaussianSpec:
 
     def __post_init__(self):
         c = complex(self.c)
-        if not np.all(np.isfinite([self.a, self.b, c.real, c.imag, 4.0 * self.a * self.b])):
-            raise InputError("a, b, c and 4ab must be finite")
+        if not np.all(np.isfinite([self.a, self.b, c.real, c.imag])):
+            raise InputError("a, b and c must be finite")
         if not (self.a > 0.0 and self.b > 0.0):
             raise InputError("a and b must be positive")
         if c.real != 0.0 and c.imag != 0.0:
@@ -35,7 +35,7 @@ class TwoModeGaussianSpec:
                 "use the grid backend for general complex couplings"
             )
         object.__setattr__(self, "c", c)
-        if self.branch == "real_c" and not abs(c.real) < 2.0 * np.sqrt(self.a * self.b):
+        if self.branch == "real_c" and not _coupling_ratio(self) < 1.0:
             raise UnphysicalStateError(
                 f"real coupling |c| = {abs(c.real):.6g} >= 2 sqrt(ab); "
                 "state is not normalizable"
@@ -50,6 +50,12 @@ class TwoModeGaussianSpec:
         return GaussianPureState(np.array([[self.a, half], [half, self.b]]))
 
 
+def _coupling_ratio(spec: TwoModeGaussianSpec) -> float:
+    """r = |c| / (2 sqrt(ab)), formed from sqrt(a) sqrt(b), which cannot
+    underflow or overflow where ab would; inf when the quotient overflows."""
+    return abs(spec.c) / (2.0 * math.sqrt(spec.a) * math.sqrt(spec.b))
+
+
 def closed_form_concurrence(spec: TwoModeGaussianSpec) -> float:
     """Squared concurrence across the two modes.
 
@@ -59,13 +65,12 @@ def closed_form_concurrence(spec: TwoModeGaussianSpec) -> float:
                       = 2v / (sqrt(1 + v) (1 + sqrt(1 + v))), v = m^2 / (4ab), c = i m
     The second forms, evaluated here, subtract nothing close to 1, so a weak
     coupling keeps its relative precision (the first gives 0 for the 2.5e-19
-    of a = b = 1, c = 1e-9). u = v = r^2 with r = |c| / (2 sqrt(a) sqrt(b)),
-    which ab would underflow; the factors r/s and r/(1 + s), s = hypot(1, r),
-    cannot overflow.
+    of a = b = 1, c = 1e-9). u = v = r^2 with r = _coupling_ratio(spec),
+    which the spec holds below 1 on the real branch; the factors r/s and
+    r/(1 + s), s = hypot(1, r), cannot overflow.
     """
-    r = abs(spec.c) / (2.0 * math.sqrt(spec.a) * math.sqrt(spec.b))
+    r = _coupling_ratio(spec)
     if spec.branch == "real_c":
-        r = min(r, 1.0)  # r < 1 for a physical c, up to the rounding of that test
         return 2.0 * r * r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
     if math.isinf(r):
         return 2.0
@@ -74,12 +79,19 @@ def closed_form_concurrence(spec: TwoModeGaussianSpec) -> float:
 
 
 def closed_form_normalization(spec: TwoModeGaussianSpec) -> float:
-    """The two-mode normalization constant for the matching branch."""
-    ab = spec.a * spec.b
+    """The two-mode normalization constant for the matching branch.
+
+    Real branch:      (4ab - c^2)^(1/4) / sqrt(2 pi)
+                      = (ab)^(1/4) ((1 - r) (1 + r))^(1/4) / sqrt(pi)
+    Imaginary branch: (ab)^(1/4) / sqrt(pi)
+    with r = _coupling_ratio(spec); (ab)^(1/4) is taken as a^(1/4) b^(1/4),
+    since ab underflows or overflows for a and b far from 1.
+    """
+    root = math.sqrt(math.sqrt(spec.a)) * math.sqrt(math.sqrt(spec.b)) / math.sqrt(math.pi)
     if spec.branch == "real_c":
-        c = spec.c.real
-        return (2.0 * np.pi / np.sqrt(4.0 * ab - c * c)) ** -0.5
-    return (np.pi / np.sqrt(ab)) ** -0.5
+        r = _coupling_ratio(spec)
+        return root * math.sqrt(math.sqrt((1.0 - r) * (1.0 + r)))
+    return root
 
 
 @dataclass(frozen=True)

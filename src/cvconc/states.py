@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, StateValidityError, TruncationWarning
-from .quadrature import ProductRule, _product_weights, _whole_number, midpoint_rule
+from .quadrature import _product_weights, _whole_number
 
 NORM_TOL = 1e-9
 MASS_DEFECT_WARN = 1e-3
@@ -72,11 +72,11 @@ class GridState:
         object.__setattr__(self, "axes", axes)
         shape = tuple(ax.points for ax in axes)
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.size == int(np.prod(shape)):
+        if amp.size == math.prod(shape):
             amp = np.ascontiguousarray(amp.reshape(shape))
         else:
             raise InputError(
-                f"amplitude count {amp.size} does not match grid of {int(np.prod(shape))} nodes"
+                f"amplitude count {amp.size} does not match grid of {math.prod(shape)} nodes"
             )
         if not np.isfinite(amp).all():
             raise InputError("amplitudes must be finite (found NaN or infinity)")
@@ -101,22 +101,23 @@ class GridState:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2)) * self.node_weight
+        return float(np.vdot(self.amplitudes, self.amplitudes).real) * self.node_weight
 
     @classmethod
     def from_amplitudes(cls, axes, amplitudes, diagnostics=None) -> "GridState":
         """Build a GridState, renormalizing the sampled amplitudes."""
         axes = tuple(axes)
-        amp = np.asarray(amplitudes, dtype=np.complex128)
+        amp = np.array(amplitudes, dtype=np.complex128)  # a copy, scaled in place
         w = 1.0
         for ax in axes:
             w *= ax.delta
-        mass = float(np.sum(np.abs(amp) ** 2)) * w
+        mass = float(np.vdot(amp, amp).real) * w
         if not np.isfinite(mass):
             raise InputError(f"amplitudes must be finite with a finite norm, got norm^2 = {mass}")
         if mass <= 0.0:
             raise InputError("cannot normalize identically zero amplitudes")
-        return cls(axes, amp / np.sqrt(mass), diagnostics or {})
+        amp /= np.sqrt(mass)
+        return cls(axes, amp, diagnostics or {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,18 +163,61 @@ def evaluate_gaussian(state: GaussianPureState, x) -> complex:
     return complex(val) if scalar else val
 
 
-def _sample(state: GaussianPureState, rule: ProductRule):
+def _log_amplitudes(state: GaussianPureState, nodes) -> np.ndarray:
+    """log N - x^T A x / 2 at every node of the product grid of the 1-D node
+    vectors, as one new array of the grid's shape: float64 when Im A = 0,
+    complex128 otherwise.
+
+    The form is a sum of one term per axis pair k < l, the outer product
+    -(A_kl + A_lk) / 2 x_k x_l, with each axis's -A_kk x_k^2 / 2 (and log N)
+    folded into one of its pairs. The terms are small; the grid takes one
+    pass per pair.
+    """
+    A = state.A if state.A.imag.any() else state.A.real
+    n = len(nodes)
+    # Axis k's node vector, shaped to broadcast along axis k of the grid.
+    x = [v.reshape((-1,) + (1,) * (n - 1 - k)) for k, v in enumerate(nodes)]
+    diag = [-0.5 * A[k, k] * (xk * xk) for k, xk in enumerate(x)]
+    diag[0] += math.log(state.normalization)
+    if n == 1:
+        return diag[0]
+    terms = {(k, l): -0.5 * (A[k, l] + A[l, k]) * x[k] * x[l]
+             for k in range(n) for l in range(k + 1, n)}
+    for k in range(n):
+        terms[(k, k + 1) if k + 1 < n else (k - 1, k)] += diag[k]
+    terms = list(terms.values())
+    if len(terms) == 1:
+        return terms[0]
+    q = np.empty(tuple(v.size for v in nodes), np.result_type(*terms))
+    np.add(terms[0], terms[1], out=q)
+    for t in terms[2:]:
+        q += t
+    return q
+
+
+def _sample(state: GaussianPureState, nodes, weights):
     """Amplitudes of a Gaussian pure state at the nodes of a product rule,
     before renormalization, and the mass defect |1 - sum |amp|^2 w|.
 
-    A TruncationWarning is issued when the defect exceeds MASS_DEFECT_WARN
-    (domain or rule too narrow).
+    nodes holds the 1-D node vector of each axis; weights the weight vector
+    of each axis (a Gauss-Hermite rule), or one float, the weight of every
+    node (a midpoint grid). The amplitudes are exp of _log_amplitudes, taken
+    in place: one array of the grid's shape, float64 when A is real. The mass
+    is that one weight times sum |amp|^2, or |amp|^2 contracted with each
+    axis's weights. A TruncationWarning is issued when the defect exceeds
+    MASS_DEFECT_WARN (domain or rule too narrow).
     """
-    if rule.ndim != state.n:
-        raise InputError(f"need {state.n} axes, got {rule.ndim}")
-    mesh = np.meshgrid(*rule.nodes, indexing="ij")
-    amp = evaluate_gaussian(state, np.stack(mesh, axis=-1))
-    mass = float(np.sum(np.abs(amp) ** 2 * _product_weights(rule.weights)))
+    if len(nodes) != state.n:
+        raise InputError(f"need {state.n} axes, got {len(nodes)}")
+    amp = _log_amplitudes(state, nodes)
+    np.exp(amp, out=amp)
+    if isinstance(weights, float):
+        mass = float(np.vdot(amp, amp).real) * weights
+    else:
+        mass = np.abs(amp) ** 2
+        for w in reversed(weights):
+            mass = mass @ w
+        mass = float(mass)
     defect = abs(1.0 - mass)
     if defect > MASS_DEFECT_WARN:
         warnings.warn(
@@ -190,7 +234,7 @@ def discretize(state: GaussianPureState, axes) -> GridState:
     TruncationWarning is issued when it exceeds MASS_DEFECT_WARN (domain too small).
     """
     axes = tuple(axes)
-    amp, defect = _sample(state, midpoint_rule(axes))
+    amp, defect = _sample(state, [ax.nodes for ax in axes], math.prod(ax.delta for ax in axes))
     cond = float(np.linalg.cond(state.A.real))
     diagnostics = {
         "mass_defect": defect,

@@ -228,3 +228,19 @@ def pairs_by_search(n, start, stop):
     p = np.arange(start, stop)
     i = np.searchsorted(first, p, side="right") - 1
     return i, p - first[i] + i + 1
+
+
+def gaussian_on_mesh(gaussian, nodes, weights):
+    """A Gaussian's amplitudes on the full coordinate mesh of a product rule,
+    pointwise, and their mass sum |amp|^2 w with the full array of node
+    weights: (amp, mass, s), s the sum of the magnitudes of the terms of
+    x^T A x / 2 at each node, which bounds the round-off of the exponent."""
+    from cvconc import evaluate_gaussian
+
+    mesh = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    amp = evaluate_gaussian(gaussian, mesh)
+    w = np.ones(())
+    for wk in weights:
+        w = np.multiply.outer(w, wk)
+    s = 0.5 * np.einsum("...i,ij,...j->...", np.abs(mesh), np.abs(gaussian.A), np.abs(mesh))
+    return amp, float(np.sum(np.abs(amp) ** 2 * w)), s

@@ -128,6 +128,29 @@ def test_cmd_gaussian_weak_coupling_is_entangled(capsys, branch):
     assert out["verdict"] == "entangled"
 
 
+@pytest.mark.parametrize("branch", ["real", "imag"])
+@pytest.mark.parametrize("c, verdict", [("1e-13", "separable"), ("1.9e-12", "separable"),
+                                        ("2.1e-12", "entangled"), ("1e-11", "entangled")])
+def test_cmd_gaussian_verdict_is_the_cross_block_criterion(capsys, branch, c, verdict):
+    # The cross entry c/2 against CROSS_BLOCK_TOL = 1e-12: the verdict was
+    # "entangled" whenever E2 > 0, and the library's criterion "separable".
+    assert main(["gaussian", "--a", "1", "--b", "1", "--c", c, "--branch", branch]) == 0
+    out = json.loads(capsys.readouterr().out)
+    half = float(c) / 2 * (1j if branch == "imag" else 1)
+    A = [[1.0, half], [half, 1.0]]
+    assert out["verdict"] == verdict == cv.gaussian_separability(A, Bipartition(2, (0,))).verdict
+    assert abs(out["E2"] - float(c) ** 2 / 4) <= 1e-15 * out["E2"]
+
+
+def test_cmd_gaussian_accepts_a_and_b_far_from_1(capsys):
+    # a = b = 1e200 was refused as non-finite, since 4ab overflows.
+    for a, expected in [("1e200", 1e100), ("1e-300", 1e-150)]:
+        assert main(["gaussian", "--a", a, "--b", a, "--c", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["E2"] == 0.0 and out["verdict"] == "separable"
+        assert abs(out["norm"] - expected / math.sqrt(math.pi)) <= 1e-15 * out["norm"]
+
+
 def test_cmd_gaussian_unphysical_exit_code(capsys):
     assert main(["gaussian", "--a", "1", "--b", "1", "--c", "2"]) == 1
     assert "normalizable" in capsys.readouterr().err
@@ -137,7 +160,6 @@ def test_cmd_gaussian_unphysical_exit_code(capsys):
     ["--a", "inf", "--b", "1", "--c", "0"],
     ["--a", "1", "--b", "nan", "--c", "0"],
     ["--a", "1", "--b", "1", "--c", "inf", "--branch", "imag"],
-    ["--a", "1e200", "--b", "1e200", "--c", "0"],
 ])
 def test_cmd_gaussian_rejects_non_finite_input(capsys, argv):
     assert main(["gaussian", *argv]) == 1

@@ -198,7 +198,7 @@ def test_family_on_a_gauss_hermite_split(monkeypatch, members, side, p):
     r4, r40 = gauss_hermite_rule(4, 1.0, 1), gauss_hermite_rule(40, 1.5, 1)
     rule = ProductRule(r4.nodes + r40.nodes, r4.weights + r40.weights)
     spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.2]]))
-    amp, _ = cv.states._sample(spec, rule)
+    amp, _ = cv.states._sample(spec, rule.nodes, rule.weights)
     bp = Bipartition(2, members)
     sp = cv.Split.from_blocks(bp, *cv.states._blocks(amp, rule.weights, bp))
     assert np.ptp(sp.wrest) > 0.1 * sp.wrest.max()
@@ -424,6 +424,43 @@ def test_witness_ties_resolve_as_the_dense_search(monkeypatch, seed, budget):
     mag = _assert_witness_is_the_dense_one(G)
     T = np.outer(G[0], G[1])
     assert np.count_nonzero(np.abs(T - T.T) ** 2 == mag) >= 4
+
+
+@pytest.mark.parametrize("budget", [None, 30, 10])
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_ignores_round_off_between_ties(monkeypatch, seed, budget):
+    # The tied integer matrices above, each entry moved by a few ulps: a, b
+    # and (x, y) stay the exact matrix's, the first of their ties in row or
+    # walk order, where an argmax took whichever the round-off made largest.
+    # 10 elements make blocks of one column pair.
+    if budget is not None:
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 16 * budget)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(-1, 2, size=(3, 40)).astype(complex)
+    G[2] *= 0.25
+    exact = cv.concurrence._witness_quadruple(G)
+    for trial in range(4):
+        noise = 1.0 + 1e-14 * rng.uniform(-1.0, 1.0, size=G.shape)
+        quad, mag = cv.concurrence._witness_quadruple(G * noise)
+        assert quad == exact[0]
+        assert abs(mag - exact[1]) <= 1e-12 * exact[1]
+
+
+@pytest.mark.parametrize("budget", [None, 10])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_witness_takes_the_first_near_tie_after_a_later_rise(monkeypatch, budget, dtype):
+    # Rows 1 and t = (0, 1, 1 + h, 1 + 2h): the minors of the column pairs
+    # (0, 1), (0, 2), (0, 3) are 1, (1 + h)^2 and (1 + 2h)^2, one per block at
+    # 10 elements. The band around the largest, 1.6e-10 above 1, holds (0, 2)
+    # but not (0, 1), which led until (0, 3) was walked: (0, 2) is found by
+    # walking its block again.
+    if budget is not None:
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 16 * budget)
+    h = 0.4 * cv.concurrence._TIE_BAND
+    G = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0 + h, 1.0 + 2 * h]], dtype=dtype)
+    quad, mag = cv.concurrence._witness_quadruple(G)
+    assert quad == (0, 1, 0, 2)
+    assert abs(mag - (1.0 + h) ** 2) <= 1e-15
 
 
 def test_witness_memory_on_a_long_complement():

@@ -82,10 +82,10 @@ def test_spec_validation():
         TwoModeGaussianSpec(1.0, 1.0, 1.0 + 1.0j)
     with pytest.raises(InputError):
         TwoModeGaussianSpec(-1.0, 1.0, 0.0)
-    # Non-finite input, including an a*b that overflows, is refused.
+    # Non-finite input is refused.
     inf, nan = float("inf"), float("nan")
     for a, b, c in [(inf, 1.0, 0.0), (1.0, nan, 0.0), (1.0, 1.0, inf), (1.0, 1.0, 1j * inf),
-                    (1.0, 1.0, complex(0.0, nan)), (1e200, 1e200, 0.0)]:
+                    (1.0, 1.0, complex(0.0, nan))]:
         with pytest.raises(InputError, match="finite"):
             TwoModeGaussianSpec(a, b, c)
     # The imaginary branch has no magnitude restriction.
@@ -98,6 +98,60 @@ def test_normalization_values():
     assert abs(closed_form_normalization(TwoModeGaussianSpec(1.0, 1.0, 1.0)) - expected) < 1e-15
     near_edge = closed_form_normalization(TwoModeGaussianSpec(1.0, 1.0, 1.9999999))
     assert near_edge < 0.02
+
+
+# 50 digits of pi, for the decimal references.
+_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _normalization_reference(a, b, c, imag):
+    """(4ab - c^2)^(1/4) / sqrt(2 pi), or (4ab)^(1/4) / sqrt(2 pi) on the
+    imaginary branch, at 50 digits from the exact floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c = decimal.Decimal(a), decimal.Decimal(b), decimal.Decimal(c)
+        det = 4 * a * b if imag else 4 * a * b - c * c
+        return float(det.sqrt().sqrt() / (2 * _PI).sqrt())
+
+
+# a and b whose product underflows, is subnormal or overflows, with couplings
+# on both branches.
+FAR_SPECS = [(1e-300, 1e-300, 0.0), (1e-300, 1e-300, 1e-301), (1e-160, 1e-160, 0.0),
+             (1e-160, 3e-161, 1e-161), (1e200, 1e200, 0.0), (1e200, 1e200, 1.5e200),
+             (1e300, 1e-300, 0.5), (1e-200, 1e250, 3e24)]
+
+
+@pytest.mark.parametrize("imag", [False, True])
+@pytest.mark.parametrize("a, b, c", FAR_SPECS)
+def test_closed_forms_hold_for_a_and_b_far_from_1(a, b, c, imag):
+    # ab = 1e-600 made TwoModeGaussianSpec(1e-300, 1e-300, 0) unphysical,
+    # 4ab = 4e400 made (1e200, 1e200, 0) non-finite, and a subnormal ab = 1e-320
+    # cost the normalization 2.8e-6 of its value.
+    spec = TwoModeGaussianSpec(a, b, 1j * c if imag else c)
+    norm = _normalization_reference(a, b, c, imag)
+    assert abs(closed_form_normalization(spec) - norm) <= 1e-14 * norm
+    e2 = _closed_form_reference(a, b, c, imag)
+    assert abs(closed_form_concurrence(spec) - e2) <= 1e-14 * e2
+
+
+def test_physical_test_holds_for_a_and_b_far_from_1():
+    for a, b in [(1e-300, 1e-300), (1e200, 1e200), (1e300, 1e-300)]:
+        edge = 2.0 * np.sqrt(a) * np.sqrt(b)
+        with pytest.raises(UnphysicalStateError):
+            TwoModeGaussianSpec(a, b, edge)
+        assert closed_form_concurrence(TwoModeGaussianSpec(a, b, 0.999 * edge)) > 1.9
+
+
+@pytest.mark.parametrize("imag", [False, True])
+def test_report_keeps_relative_precision_on_weak_entanglement(imag):
+    # E2 = 2 (1 - sum lambda^2) cancels to the round-off of lambda_1^2 = 1 - O(c^2):
+    # it is off by 1.7e-3 of its value at c = 1e-6 on the real branch.
+    for c in np.logspace(-1, -6, 11):
+        spec = TwoModeGaussianSpec(1.0, 1.0, 1j * c if imag else c)
+        grid = cv.discretize(spec.to_precision_matrix(), [GridAxis(-8.0, 8.0, 48)] * 2)
+        reference = _closed_form_reference(1.0, 1.0, c, imag)
+        report = cv.concurrence_report(grid, BP)
+        assert abs(report.E2 - reference) <= 1e-9 * reference, c
 
 
 def test_normalization_matches_wavefunction_constant():

@@ -88,10 +88,18 @@ def test_library_and_cli_give_one_answer(tmp_path, capsys, n_axes, members):
 
 
 def test_route_agreement_checks_the_svd_answer(monkeypatch):
-    # Scaled Schmidt weights move E2 alone; all six routes still agree.
+    # A scaled leading Schmidt weight moves E2 alone; all six routes still
+    # agree. (E2 reads the weights relative to their sum, so scaling them all
+    # would leave it as it is.)
     state = random_grid_state(np.random.default_rng(61))
     original = cv.Split.schmidt.func
-    monkeypatch.setattr(cv.Split, "schmidt", property(lambda sp: 0.999 * original(sp)))
+
+    def perturbed(sp):
+        weights = original(sp).copy()
+        weights[0] *= 0.999
+        return weights
+
+    monkeypatch.setattr(cv.Split, "schmidt", property(perturbed))
     checks = {c["name"]: c for c in cv.run_verification(state, BP).checks}
     assert not checks["route_agreement"]["passed"]
     assert cv.concurrence_report(state, BP).max_pairwise_gap > 1e-6

@@ -2,6 +2,7 @@
 bipartitions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from cvconc import (
     evaluate_gaussian,
 )
 from cvconc.errors import InputError, StateValidityError, TruncationWarning
+
+import oracles
 
 
 def test_axis_nodes_and_weights():
@@ -313,3 +316,103 @@ def test_array_holders_compare_by_identity(name):
     assert (x == x) is True and (x != x) is False
     assert (x == y) is False and (x != y) is True
     assert hash(x) == hash(x)
+
+
+# Precision matrices for the sampler: real, imaginary coupling and mixed
+# phase, on 1, 2 and 3 modes.
+SAMPLED_GAUSSIANS = {
+    "real-1": [[1.3]],
+    "real-2": [[1.0, 0.45], [0.45, 0.9]],
+    "imag-2": [[1.0, 0.3j], [0.3j, 0.8]],
+    "mixed-2": [[1.2 + 0.4j, 0.3 - 0.2j], [0.3 - 0.2j, 0.9 + 0.1j]],
+    "real-3": [[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]],
+    "mixed-3": [[1.1 + 0.2j, 0.25 - 0.1j, 0.1j],
+                [0.25 - 0.1j, 0.9, 0.3 + 0.3j],
+                [0.1j, 0.3 + 0.3j, 1.2 - 0.4j]],
+}
+# Unequal axes per mode: bounds, spacings and point counts all differ.
+UNEQUAL_AXES = [GridAxis(-7.0, 6.0, 23), GridAxis(-5.5, 8.0, 17), GridAxis(-6.5, 6.0, 15)]
+
+
+def _gauss_hermite(n):
+    """A product Gauss-Hermite rule of n axes with unequal counts and scales."""
+    rules = [cv.gauss_hermite_rule(points, scale, 1)
+             for points, scale in [(18, 1.1), (13, 0.8), (9, 1.4)][:n]]
+    return cv.ProductRule(tuple(r.nodes[0] for r in rules), tuple(r.weights[0] for r in rules))
+
+
+def _assert_pointwise(amp, ref, terms):
+    # To 1e-14 of the largest amplitude at every node, and at each node to
+    # its own size times the round-off of an exponent whose terms sum to
+    # `terms` in magnitude (exp turns an absolute error of its argument into
+    # a relative error of its value).
+    err = np.abs(amp - ref)
+    assert err.max() <= 1e-14 * np.abs(ref).max(), err.max() / np.abs(ref).max()
+    assert np.all(err <= 8 * np.finfo(float).eps * (1.0 + terms) * np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_GAUSSIANS))
+def test_discretize_samples_the_pointwise_gaussian(name):
+    state = GaussianPureState(np.array(SAMPLED_GAUSSIANS[name], dtype=complex))
+    axes = UNEQUAL_AXES[:state.n]
+    grid = discretize(state, axes)
+    ref, mass, terms = oracles.gaussian_on_mesh(state, [ax.nodes for ax in axes],
+                                                [ax.weights for ax in axes])
+    assert grid.amplitudes.dtype == np.complex128
+    _assert_pointwise(grid.amplitudes, ref / np.sqrt(mass), terms)
+    assert abs(grid.diagnostics["mass_defect"] - abs(1.0 - mass)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_GAUSSIANS))
+def test_gauss_hermite_sampling_matches_the_pointwise_gaussian(name):
+    state = GaussianPureState(np.array(SAMPLED_GAUSSIANS[name], dtype=complex))
+    rule = _gauss_hermite(state.n)
+    amp, defect = cv.states._sample(state, rule.nodes, rule.weights)
+    ref, mass, terms = oracles.gaussian_on_mesh(state, rule.nodes, rule.weights)
+    assert amp.dtype == (np.float64 if name.startswith("real") else np.complex128)
+    _assert_pointwise(amp, ref, terms)
+    assert abs(defect - abs(1.0 - mass)) <= 1e-14
+
+
+def test_truncated_mass_defect_and_warning_are_kept():
+    # A box that cuts the state: the defect is the pointwise one and warns.
+    state = GaussianPureState(np.array(SAMPLED_GAUSSIANS["real-3"]))
+    axes = [GridAxis(-1.5, 2.0, 12), GridAxis(-1.0, 1.0, 9), GridAxis(-2.0, 1.0, 10)]
+    with pytest.warns(TruncationWarning):
+        grid = discretize(state, axes)
+    _, mass, _ = oracles.gaussian_on_mesh(state, [ax.nodes for ax in axes],
+                                          [ax.weights for ax in axes])
+    assert grid.diagnostics["mass_defect"] > 0.1
+    assert abs(grid.diagnostics["mass_defect"] - abs(1.0 - mass)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["real-2", "imag-2", "real-3", "mixed-3"])
+def test_a_real_precision_matrix_splits_real_on_both_rules(monkeypatch, name):
+    # Im A = 0: both the grid split and the product-rule split are float64.
+    state = GaussianPureState(np.array(SAMPLED_GAUSSIANS[name], dtype=complex))
+    bp = Bipartition(state.n, (0,))
+    dtype = np.float64 if name.startswith("real") else np.complex128
+    assert cv.split(discretize(state, UNEQUAL_AXES[:state.n]), bp).G.dtype == dtype
+    splits = []
+    report = cv.concurrence.concurrence_report
+    monkeypatch.setattr(cv.concurrence, "concurrence_report",
+                        lambda sp, *args: splits.append(sp) or report(sp, *args))
+    cv.concurrence_gaussian_numeric(state, bp, _gauss_hermite(state.n))
+    assert [sp.G.dtype for sp in splits] == [dtype]
+
+
+def test_discretize_memory_at_64_cubed():
+    # 64^3 nodes: the float64 samples (2 MiB) and the complex128 state (4 MiB);
+    # the meshgrid sampler held a 64^3 x 3 coordinate stack beside complex
+    # temporaries and peaked at 24 MiB.
+    state = GaussianPureState(np.array(SAMPLED_GAUSSIANS["real-3"]))
+    axes = [GridAxis(-8.0, 8.0, 64)] * 3
+    discretize(state, axes)
+    tracemalloc.start()
+    try:
+        grid = discretize(state, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.amplitudes.shape == (64, 64, 64)
+    assert peak <= 12.5 * 2**20, peak / 2**20
