@@ -19,6 +19,15 @@ EXIT_STATE = 2
 EXIT_VERIFY = 3
 
 
+def _add_state_options(parser: argparse.ArgumentParser, grid: int) -> None:
+    """The options of every command that reads a state file; grid is the
+    command's default point count per axis for Gaussian input."""
+    parser.add_argument("state")
+    parser.add_argument("--M", required=True, help="comma-separated member axis indices")
+    parser.add_argument("--grid", type=int, default=grid, help="points per axis for Gaussian input")
+    parser.add_argument("--box", type=float, default=8.0, help="half-width of the Gaussian grid")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main()
@@ -47,25 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("concurrence", help="multi-route concurrence report for a state file")
-    c.add_argument("state")
-    c.add_argument("--M", required=True, help="comma-separated member axis indices")
+    _add_state_options(c, grid=64)
     c.add_argument("--routes", default=",".join(DEFAULT_ROUTES))
-    c.add_argument("--grid", type=int, default=64, help="points per axis for Gaussian input")
-    c.add_argument("--box", type=float, default=8.0, help="half-width of the Gaussian grid")
 
     v = sub.add_parser("verify", help="run every identity check on a state file")
-    v.add_argument("state")
-    v.add_argument("--M", required=True)
-    v.add_argument("--grid", type=int, default=32)
-    v.add_argument("--box", type=float, default=8.0)
+    _add_state_options(v, grid=32)
 
     f = sub.add_parser("factor", help="factor a separable state into sub-states")
-    f.add_argument("state")
-    f.add_argument("--M", required=True)
+    _add_state_options(f, grid=64)
     f.add_argument("--out-m", required=True)
     f.add_argument("--out-rest", required=True)
-    f.add_argument("--grid", type=int, default=64)
-    f.add_argument("--box", type=float, default=8.0)
 
     return parser
 
@@ -75,10 +75,11 @@ def _load_grid(args):
     from .states import Bipartition, GaussianPureState, GridAxis, discretize
 
     state = load_state(args.state)
-    if isinstance(state, GaussianPureState):
-        axes = [GridAxis(-args.box, args.box, args.grid)] * state.n
-        state = discretize(state, axes)
+    # The split is parsed before a Gaussian is sampled, so a bad --M fails
+    # before the grid is formed.
     bipartition = Bipartition.parse(args.M, state.n)
+    if isinstance(state, GaussianPureState):
+        state = discretize(state, [GridAxis(-args.box, args.box, args.grid)] * state.n)
     return state, bipartition
 
 
@@ -177,7 +178,7 @@ def cmd_factor(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .errors import InputError, NumericError, StateValidityError
+    from .errors import NumericError, StateValidityError
 
     handlers = {
         "gaussian": cmd_gaussian,
@@ -188,15 +189,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except StateValidityError as exc:
+    except (StateValidityError, NumericError, ValueError, OSError) as exc:
+        # InputError is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE
-    except (InputError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_STATE if isinstance(exc, (StateValidityError, NumericError)) else EXIT_INPUT
 
 
 if __name__ == "__main__":

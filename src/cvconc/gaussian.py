@@ -101,16 +101,19 @@ class GaussianSeparabilityResult:
 
 
 def gaussian_separability(A, bipartition: Bipartition) -> GaussianSeparabilityResult:
-    """Exact criterion: separable iff every cross-block entry of the precision
-    matrix vanishes (within CROSS_BLOCK_TOL)."""
+    """Exact criterion: separable iff every cross-block entry A_kj of the
+    precision matrix vanishes within CROSS_BLOCK_TOL sqrt(Re A_kk) sqrt(Re A_jj),
+    a tolerance that scales with A, so the verdict does not depend on the
+    units of x. On two modes this reads r = |c| / (2 sqrt(ab)) against the tol."""
     state = GaussianPureState(np.asarray(A, dtype=complex))
     if bipartition.n != state.n:
         raise InputError("bipartition size does not match the matrix")
+    scale = np.sqrt(state.A.real.diagonal())
     best = None
     for k in bipartition.members:
         for j in bipartition.complement:
             mag = abs(state.A[k, j])
-            if mag > CROSS_BLOCK_TOL and (best is None or mag > best[2]):
+            if mag > CROSS_BLOCK_TOL * (scale[k] * scale[j]) and (best is None or mag > best[2]):
                 best = (k, j, mag)
     if best is None:
         return GaussianSeparabilityResult("separable")

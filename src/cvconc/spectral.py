@@ -8,43 +8,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transpose
-from .errors import NumericError
+from .errors import InputError, NumericError
 from .states import Bipartition, GridState, Split, split
-from .transpose import DiscreteOperator
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedDensity:
-    """Reduced density operator of one block in sqrt-weight convention."""
+    """Reduced density operator of one block in sqrt-weight convention: a
+    square matrix, Hermitian within 1e-12, of trace 1 within 1e-10."""
 
-    operator: DiscreteOperator
+    matrix: np.ndarray
     bipartition: Bipartition
 
     def __post_init__(self):
-        res = self.operator.hermiticity_residual
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputError("operator matrix must be square")
+        res = float(np.max(np.abs(m - m.conj().T))) / 2.0
         if res > 1e-12:
             raise NumericError(f"reduced density not Hermitian: residual {res:.3g}")
-        tr = self.operator.trace
+        tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
             raise NumericError(f"reduced density trace {tr:.12g}, expected 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.operator.matrix
+        object.__setattr__(self, "matrix", m)
 
 
 def _reduce(sp: Split) -> ReducedDensity:
     """The reduced density of the smaller block: the member block's purity and
     nonzero spectrum at an edge of min(gm, gmbar)."""
-    return ReducedDensity(DiscreteOperator(sp.K), sp.bipartition)
+    return ReducedDensity(sp.K, sp.bipartition)
 
 
 def reduce(state: GridState | Split, bipartition: Bipartition) -> ReducedDensity:
     """Trace out the complement block: kernel sum_k phi(x, k) phi*(x', k) w_k."""
     G = split(state, bipartition).G
-    return ReducedDensity(DiscreteOperator(G @ G.conj().T), bipartition)
+    return ReducedDensity(G @ G.conj().T, bipartition)
 
 
 def purity(rd: ReducedDensity) -> float:

@@ -53,6 +53,12 @@ class GridAxis:
         return np.full(self.points, self.delta)
 
 
+def _node_weight(axes) -> float:
+    """Weight of one midpoint node of the product of axes: the product of
+    their deltas, taken left to right."""
+    return math.prod(ax.delta for ax in axes)
+
+
 @dataclass(frozen=True, eq=False)
 class GridState:
     """A dense complex wavefunction sampled on a product of GridAxis nodes.
@@ -94,10 +100,7 @@ class GridState:
     @property
     def node_weight(self) -> float:
         """Quadrature weight of a single node (product of the axis deltas)."""
-        w = 1.0
-        for ax in self.axes:
-            w *= ax.delta
-        return w
+        return _node_weight(self.axes)
 
     @property
     def norm_squared(self) -> float:
@@ -108,10 +111,7 @@ class GridState:
         """Build a GridState, renormalizing the sampled amplitudes."""
         axes = tuple(axes)
         amp = np.array(amplitudes, dtype=np.complex128)  # a copy, scaled in place
-        w = 1.0
-        for ax in axes:
-            w *= ax.delta
-        mass = float(np.vdot(amp, amp).real) * w
+        mass = float(np.vdot(amp, amp).real) * _node_weight(axes)
         if not np.isfinite(mass):
             raise InputError(f"amplitudes must be finite with a finite norm, got norm^2 = {mass}")
         if mass <= 0.0:
@@ -133,7 +133,9 @@ class GaussianPureState:
             raise InputError("precision matrix must be square")
         if not np.isfinite(A).all():
             raise InputError("precision matrix has non-finite entries")
-        if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
+        # Relative to the largest entry, so the check does not depend on the
+        # units of x.
+        if np.max(np.abs(A - A.T), initial=0.0) > 1e-12 * np.max(np.abs(A), initial=0.0):
             raise InputError("precision matrix must be symmetric (A = A^T)")
         try:
             np.linalg.cholesky(A.real)
@@ -234,7 +236,7 @@ def discretize(state: GaussianPureState, axes) -> GridState:
     TruncationWarning is issued when it exceeds MASS_DEFECT_WARN (domain too small).
     """
     axes = tuple(axes)
-    amp, defect = _sample(state, [ax.nodes for ax in axes], math.prod(ax.delta for ax in axes))
+    amp, defect = _sample(state, [ax.nodes for ax in axes], _node_weight(axes))
     cond = float(np.linalg.cond(state.A.real))
     diagnostics = {
         "mass_defect": defect,
@@ -307,11 +309,8 @@ def block_matrix(state: GridState, bipartition: Bipartition):
     node of a block carries the product of that block's axis deltas.
     """
     F = _member_major(state.amplitudes, bipartition)
-    wm = wrest = 1.0
-    for k in bipartition.members:
-        wm *= state.axes[k].delta
-    for k in bipartition.complement:
-        wrest *= state.axes[k].delta
+    wm = _node_weight(state.axes[k] for k in bipartition.members)
+    wrest = _node_weight(state.axes[k] for k in bipartition.complement)
     return F, np.full(F.shape[0], wm), np.full(F.shape[1], wrest)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .quadrature import _product_weights, gauss_hermite_rule
+from .quadrature import ProductRule, gauss_hermite_rule, integrate
 from .states import Bipartition, GaussianPureState, GridState, Split, split
 from . import wedge
 from .wedge import _wedge_blocks
@@ -78,10 +78,6 @@ class DiscreteOperator:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    @property
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / 2.0
 
 
 def _check_operator_size(gm: int, gmbar: int):
@@ -236,17 +232,15 @@ def wigner_gaussian(state: GaussianPureState, x, p):
 def wigner_invariance_gap(state: GaussianPureState, bipartition: Bipartition, samples) -> float:
     """Max gap of the doubled Wigner product under the block-swap of both
     position and momentum doubled vectors, over the given (X, P) samples."""
-    lam = LambdaPermutation(bipartition)
     n = state.n
-    gap = 0.0
-    for X, P in samples:
-        X = np.asarray(X, dtype=float).reshape(2 * n)
-        P = np.asarray(P, dtype=float).reshape(2 * n)
-        w = wigner_gaussian(state, X[:n], P[:n]) * wigner_gaussian(state, X[n:], P[n:])
-        Xs, Ps = lam.apply(X), lam.apply(P)
-        ws = wigner_gaussian(state, Xs[:n], Ps[:n]) * wigner_gaussian(state, Xs[n:], Ps[n:])
-        gap = max(gap, abs(w - ws))
-    return gap
+    XP = np.array([(np.reshape(X, 2 * n), np.reshape(P, 2 * n)) for X, P in samples],
+                  dtype=float).reshape(-1, 2, 2 * n)
+    X, P = XP[:, 0], XP[:, 1]
+    lam = LambdaPermutation(bipartition)
+    Xs, Ps = lam.apply(X), lam.apply(P)
+    w = wigner_gaussian(state, X[:, :n], P[:, :n]) * wigner_gaussian(state, X[:, n:], P[:, n:])
+    ws = wigner_gaussian(state, Xs[:, :n], Ps[:, :n]) * wigner_gaussian(state, Xs[:, n:], Ps[:, n:])
+    return float(np.max(np.abs(w - ws), initial=0.0))
 
 
 def _wigner_scales(state: GaussianPureState):
@@ -262,12 +256,10 @@ def wigner_normalization(state: GaussianPureState, points_per_axis: int = 40) ->
     sx, sp = _wigner_scales(state)
     rx = gauss_hermite_rule(points_per_axis, sx)
     rp = gauss_hermite_rule(points_per_axis, sp)
-    mesh = np.meshgrid(*rx.nodes, *rp.nodes, indexing="ij")
     n = state.n
-    x = np.stack(mesh[:n], axis=-1)
-    p = np.stack(mesh[n:], axis=-1)
-    vals = wigner_gaussian(state, x, p)
-    return float(np.sum(vals * _product_weights(rx.weights + rp.weights)))
+    rule = ProductRule(rx.nodes + rp.nodes, rx.weights + rp.weights)
+    return integrate(rule, lambda *xp: wigner_gaussian(
+        state, np.stack(xp[:n], axis=-1), np.stack(xp[n:], axis=-1))).real
 
 
 def wigner_pt_fourth_moment_concurrence(

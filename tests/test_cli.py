@@ -1,5 +1,6 @@
 """Command-line interface, file formats, and exit-code contract."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import cvconc as cv
 from cvconc import Bipartition, GaussianPureState, GridAxis, GridState
-from cvconc.cli import main
+from cvconc.cli import build_parser, main
 from cvconc.errors import InputError
 from cvconc.serialization import (
     gaussian_from_dict,
@@ -98,7 +99,7 @@ def test_non_object_state_file_prints_no_traceback(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "cvconc.cli", "concurrence", path, "--M", "0"],
         capture_output=True, text=True,
-        env={"PATH": "", "CVCONC_THREADS": "1", "PYTHONPATH": package_root},
+        env={"PATH": "", "OMP_NUM_THREADS": "1", "PYTHONPATH": package_root},
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
@@ -149,6 +150,15 @@ def test_cmd_gaussian_accepts_a_and_b_far_from_1(capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["E2"] == 0.0 and out["verdict"] == "separable"
         assert abs(out["norm"] - expected / math.sqrt(math.pi)) <= 1e-15 * out["norm"]
+
+
+def test_cmd_gaussian_verdict_does_not_depend_on_units(capsys):
+    # r = |c| / (2 sqrt(ab)) = 0.05 at every scale; the verdict read
+    # "separable" at a = b = 1e-300.
+    for a, c in [("1e-300", "1e-301"), ("1", "0.1"), ("1e300", "1e299")]:
+        assert main(["gaussian", "--a", a, "--b", a, "--c", c]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["E2"] - 0.0025) < 1e-3 and out["verdict"] == "entangled"
 
 
 def test_cmd_gaussian_unphysical_exit_code(capsys):
@@ -538,37 +548,70 @@ def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "cvconc.cli", "gaussian", "--a", "1", "--b", "1", "--c", "0"],
         capture_output=True, text=True,
-        env={"PATH": "", "CVCONC_THREADS": "1", "PYTHONPATH": package_root},
+        env={"PATH": "", "OMP_NUM_THREADS": "1", "PYTHONPATH": package_root},
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["verdict"] == "separable"
 
 
-def test_cvconc_threads_set_before_numpy_import():
-    # The child records the BLAS thread variables at the moment numpy is
-    # first imported; CVCONC_THREADS must already be in force by then, and it
-    # takes precedence over a generic OMP_NUM_THREADS.
-    package_root = os.path.dirname(os.path.dirname(cv.__file__))
-    probe = (
-        "import json, os, sys\n"
-        "names = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
-        "seen = {}\n"
-        "class Probe:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.update((v, os.environ.get(v)) for v in names)\n"
-        "        return None\n"
-        "sys.meta_path.insert(0, Probe())\n"
-        "import cvconc.cli\n"
-        "print(json.dumps(seen))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True,
-        env={"PATH": "", "CVCONC_THREADS": "3", "OMP_NUM_THREADS": "7",
-             "PYTHONPATH": package_root},
-    )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {
-        "OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "3",
-    }
+# Each command's options: dest -> (option strings, required, default).
+STATE_OPTIONS = {"state": ([], True, None), "M": (["--M"], True, None),
+                 "box": (["--box"], False, 8.0)}
+COUPLING = {"a": (["--a"], True, None), "b": (["--b"], True, None),
+            "branch": (["--branch"], False, "real")}
+COMMAND_OPTIONS = {
+    "gaussian": {**COUPLING, "c": (["--c"], True, None)},
+    "sweep": {**COUPLING, "c_min": (["--c-min"], True, None), "c_max": (["--c-max"], True, None),
+              "steps": (["--steps"], True, None), "out": (["--out"], True, None)},
+    "concurrence": {**STATE_OPTIONS, "grid": (["--grid"], False, 64),
+                    "routes": (["--routes"], False, "B,C,Lambda")},
+    "verify": {**STATE_OPTIONS, "grid": (["--grid"], False, 32)},
+    "factor": {**STATE_OPTIONS, "grid": (["--grid"], False, 64),
+               "out_m": (["--out-m"], True, None), "out_rest": (["--out-rest"], True, None)},
+}
+
+
+def test_each_command_declares_its_options():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(COMMAND_OPTIONS)
+    for name, expected in COMMAND_OPTIONS.items():
+        declared = {action.dest: (action.option_strings, action.required, action.default)
+                    for action in commands[name]._actions if action.dest != "help"}
+        assert declared == expected, name
+
+
+@pytest.mark.parametrize("command, extra, grid", [
+    ("concurrence", [], 64),
+    ("verify", [], 32),
+    ("factor", ["--out-m", "m.json", "--out-rest", "r.json"], 64),
+])
+def test_state_commands_parse_their_own_grid_default(command, extra, grid):
+    # The three commands share one declaration of these options; a default
+    # set on one command's copy must not reach the others.
+    args = build_parser().parse_args([command, "s.json", "--M", "0,2", *extra])
+    assert (args.state, args.M, args.grid, args.box) == ("s.json", "0,2", grid, 8.0)
+    args = build_parser().parse_args([command, "s.json", "--M", "1", "--grid", "12",
+                                      "--box", "5.5", *extra])
+    assert (args.grid, args.box) == (12, 5.5)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("concurrence", []),
+    ("verify", []),
+    ("factor", ["--out-m", "m.json", "--out-rest", "r.json"]),
+])
+def test_bad_split_of_a_gaussian_fails_before_sampling(tmp_path, capsys, monkeypatch,
+                                                       command, extra):
+    calls = []
+    sample = cv.states.discretize
+    monkeypatch.setattr(cv.states, "discretize", lambda *a: calls.append(a) or sample(*a))
+    A = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    path = write_json(tmp_path / "g3.json", gaussian_to_dict(GaussianPureState(A)))
+    extra = [str(tmp_path / name) if name.endswith(".json") else name for name in extra]
+    assert main([command, path, "--M", "3", "--grid", "12", "--box", "5", *extra]) == 1
+    assert "members must lie in 0..2" in capsys.readouterr().err
+    assert calls == []
+    # The same file with a valid split is sampled once.
+    assert main([command, path, "--M", "2", "--grid", "12", "--box", "5", *extra]) == 0
+    assert len(calls) == 1

@@ -185,6 +185,18 @@ def test_separability_single_weak_cross_entry():
     assert abs(result.witness_entry[2] - 1e-3) < 1e-18
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_separability_verdict_does_not_depend_on_units(scale):
+    # The cross entry is read against CROSS_BLOCK_TOL sqrt(A_kk A_jj): with an
+    # absolute tolerance, [[1, .05], [.05, 1]] read "separable" at 1e-300.
+    for a, b in [(1.0, 1.0), (9.0, 4.0)]:
+        for ratio, verdict in [(0.05, "entangled"), (2e-12, "entangled"),
+                               (5e-13, "separable"), (0.0, "separable")]:
+            cross = ratio * np.sqrt(a * b)
+            A = scale * np.array([[a, cross], [cross, b]])
+            assert gaussian_separability(A, BP).verdict == verdict, (a, b, ratio)
+
+
 def test_separability_rejects_non_physical():
     with pytest.raises(InputError):
         gaussian_separability(np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex), BP)

@@ -185,6 +185,16 @@ def test_gaussian_validation():
         GaussianPureState(np.array([[-1.0, 0.0], [0.0, 1.0]]))  # Re not PD
 
 
+def test_gaussian_symmetry_is_checked_relative_to_the_largest_entry():
+    # One rounding of asymmetry at the scale 1e20 was refused, and an
+    # asymmetry of 10 % at the scale 1e-20 accepted.
+    A = np.array([[1e20, 3e19], [3e19 * (1 + 4.4e-16), 1e20]])
+    assert A[0, 1] != A[1, 0]
+    assert GaussianPureState(A).n == 2
+    with pytest.raises(InputError, match="symmetric"):
+        GaussianPureState(np.array([[1e-20, 1e-21], [2e-21, 1e-20]]))
+
+
 def test_gaussian_rejects_non_finite():
     for bad in (np.nan, np.inf, complex(0.0, np.inf)):
         A = np.eye(2, dtype=complex)

@@ -242,6 +242,46 @@ def test_wigner_normalization_and_parity():
         assert abs(wigner_gaussian(state, x, p) - wigner_gaussian(state, -x, -p)) < 1e-14
 
 
+# A mixed-phase 3-mode state, split {0, 2}, for the reference forms below.
+MIXED_3 = np.array([[1.1, 0.4, 0.2j], [0.4, 0.9, 0.3 - 0.1j], [0.2j, 0.3 - 0.1j, 1.3]])
+
+
+def test_wigner_normalization_matches_the_mesh_sum():
+    # The reference forms every phase-space node and the product of its
+    # weights; only the order of the sum differs.
+    for A in ([[1.3]], [[1.0, 0.5j], [0.5j, 1.0]], MIXED_3):
+        state = GaussianPureState(np.array(A, dtype=complex))
+        sx = 1.0 / np.sqrt(np.diag(state.A.real))
+        sp = 1.0 / np.sqrt(np.diag(np.linalg.inv(state.A.real)))
+        rx, rp = cv.gauss_hermite_rule(10, sx), cv.gauss_hermite_rule(10, sp)
+        mesh = np.meshgrid(*rx.nodes, *rp.nodes, indexing="ij")
+        weights = np.prod(np.meshgrid(*rx.weights, *rp.weights, indexing="ij"), axis=0)
+        n = state.n
+        values = wigner_gaussian(state, np.stack(mesh[:n], -1), np.stack(mesh[n:], -1))
+        reference = float(np.sum(values * weights))
+        assert abs(wigner_normalization(state, 10) - reference) <= 1e-15 * reference
+
+
+def test_wigner_invariance_gap_matches_the_per_sample_form():
+    # The gap evaluates all samples in one call; the reference takes one
+    # doubled sample at a time.
+    state = GaussianPureState(MIXED_3)
+    bp = Bipartition(3, (0, 2))
+    lam = LambdaPermutation(bp)
+    rng = np.random.default_rng(79)
+    samples = [(rng.normal(size=6), rng.normal(size=6)) for _ in range(40)]
+
+    def doubled(X, P):
+        return wigner_gaussian(state, X[:3], P[:3]) * wigner_gaussian(state, X[3:], P[3:])
+
+    values = [(doubled(X, P), doubled(lam.apply(X), lam.apply(P))) for X, P in samples]
+    reference = max(abs(w - ws) for w, ws in values)
+    scale = max(max(w, ws) for w, ws in values)
+    assert reference > 1e-6
+    assert abs(wigner_invariance_gap(state, bp, samples) - reference) <= 1e-15 * scale
+    assert wigner_invariance_gap(state, bp, []) == 0.0
+
+
 def _doubled_samples(rng, count):
     return [(rng.normal(size=4), rng.normal(size=4)) for _ in range(count)]
 
