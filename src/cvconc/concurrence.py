@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, transpose
+from . import spectral, transpose, wedge
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
@@ -170,17 +170,28 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
                 norms = ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
                 integral += 2.0 * float((wm[a] * wm[b]) @ func(norms))
     elif p == 2:
+        # The gm x gm squared wedge norms go in blocks of rows within the wedge
+        # kernel's chunk budget, read when the measure runs. A block keeps
+        # about 48 bytes per entry alive: the complex overlaps and their
+        # squared moduli, or the outer product of the row norms, the squared
+        # wedge norms and the cutoff's operands.
+        gm = F.shape[0]
         row_norms = (np.abs(F) ** 2) @ wrest
-        overlaps = (F * wrest) @ F.conj().T
-        outer = np.outer(row_norms, row_norms)
-        norm_sq = outer - np.abs(overlaps) ** 2
-        # The Lagrange form cannot resolve a squared wedge norm within
-        # round-off of |F_a|^2 |F_b|^2 (a product state's every pair): read it
-        # as 0, not as the root of a cancellation. A slice's wedge with itself
-        # is 0, though on long rows its round-off can exceed the cutoff.
-        norm_sq[norm_sq <= 8.0 * np.finfo(float).eps * outer] = 0.0
-        np.fill_diagonal(norm_sq, 0.0)
-        integral = float(wm @ func(np.sqrt(norm_sq)) @ wm)
+        Fw, Fh = F * wrest, F.conj().T
+        step = max(1, wedge._CHUNK_BUDGET // (48 * gm))
+        integral = 0.0
+        for r0 in range(0, gm, step):
+            r1 = min(r0 + step, gm)
+            outer = np.outer(row_norms[r0:r1], row_norms)
+            norm_sq = outer - np.abs(Fw[r0:r1] @ Fh) ** 2
+            # The Lagrange form cannot resolve a squared wedge norm within
+            # round-off of |F_a|^2 |F_b|^2 (a product state's every pair): read
+            # it as 0, not as the root of a cancellation. A slice's wedge with
+            # itself is 0, though on long rows its round-off can exceed the
+            # cutoff; the block's diagonal entries are every (gm + 1)-th from r0.
+            norm_sq[norm_sq <= 8.0 * np.finfo(float).eps * outer] = 0.0
+            norm_sq.reshape(-1)[r0::gm + 1] = 0.0
+            integral += float(wm[r0:r1] @ func(np.sqrt(norm_sq)) @ wm)
     else:
         raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
     return integral ** (1.0 / q)

@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
+# Nodes of the largest rule integrate evaluates, a safety limit: the entry
+# count of the largest dense operator the package forms (4096^2).
+_MAX_NODES = 2**24
+
 
 @dataclass(frozen=True, eq=False)
 class ProductRule:
@@ -108,8 +112,12 @@ def integrate(rule: ProductRule, f) -> complex:
 
     f is called with one positional coordinate array per axis (broadcast over
     the full mesh). A callable that rejects arrays with TypeError or
-    ValueError, as scalar-only code does, is evaluated point by point.
+    ValueError, as scalar-only code does, is evaluated point by point. A rule
+    of more than _MAX_NODES nodes is refused before any mesh is formed.
     """
+    if rule.total_points > _MAX_NODES:
+        raise InputError(f"quadrature rule has {rule.total_points} nodes, more than "
+                         f"{_MAX_NODES}; use fewer points per axis")
     mesh = np.meshgrid(*rule.nodes, indexing="ij")
     shape = mesh[0].shape if mesh else ()
     try:

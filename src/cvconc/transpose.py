@@ -122,9 +122,8 @@ def _pt_matvec(A: np.ndarray, V: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ (Vt @ B)
 
 
-def _probe_norm(R: np.ndarray) -> float:
-    # sqrt(mean_k ||R V_k||_F^2); the mean is an unbiased estimate of ||R||_F^2.
-    return float(np.sqrt(np.vdot(R, R).real / _PROBES))
+def _squared_norm(R: np.ndarray) -> float:
+    return float(np.vdot(R, R).real)
 
 
 def pt_square_factorization_gap(state: GridState | Split, bipartition: Bipartition) -> float:
@@ -140,22 +139,32 @@ def pt_square_factorization_gap(state: GridState | Split, bipartition: Bipartiti
     # from the smaller Gram matrix K only, independently of _pt_matvec.
     sp = split(state, bipartition)
     G, K = sp.G, sp.K
-    V = _PHASES[np.random.default_rng(_PROBE_SEED).integers(4, size=(_PROBES, *G.shape))]
     real = not np.iscomplexobj(G)
-    if real:
-        # Real operators map Re V and Im V apart, so the probes go as twice as
-        # many real ones with the same sum of squared residuals.
-        V = np.concatenate((V.real, V.imag))
     Gc = G.conj()
     wide = G.shape[0] <= G.shape[1]
-    left = K @ V if wide else G @ (Gc.T @ V)
-    target = (left @ G.T) @ Gc if wide else left @ K
-    gap = _probe_norm(_pt_matvec(G, _pt_matvec(G, V, Gc), Gc) - target)
-    if real:
-        return gap  # Gc is G: the tilde residual would repeat these products
-    target_tilde = (left @ Gc.T) @ G if wide else left @ K.conj()
-    gap_tilde = _probe_norm(_pt_matvec(G, _pt_matvec(Gc, V, Gc), G) - target_tilde)
-    return max(gap, gap_tilde)
+    # The probes go in batches within the wedge kernel's chunk budget, read
+    # when the check runs: a probe keeps about six complex arrays of G's size
+    # alive (V, the two matrix-free applications, left, the target and the
+    # residual), 96 bytes per amplitude. Drawn batch by batch from the one
+    # generator, they are the probes of a single draw, since PCG64 keeps its
+    # spare 32-bit half in its state.
+    rng = np.random.default_rng(_PROBE_SEED)
+    batch = max(1, wedge._CHUNK_BUDGET // (96 * G.size))
+    squares = [0.0, 0.0]
+    for start in range(0, _PROBES, batch):
+        V = _PHASES[rng.integers(4, size=(min(batch, _PROBES - start), *G.shape))]
+        if real:
+            # Real operators map Re V and Im V apart, so the probes go as twice
+            # as many real ones with the same sum of squared residuals.
+            V = np.concatenate((V.real, V.imag))
+        left = K @ V if wide else G @ (Gc.T @ V)
+        target = (left @ G.T) @ Gc if wide else left @ K
+        squares[0] += _squared_norm(_pt_matvec(G, _pt_matvec(G, V, Gc), Gc) - target)
+        if not real:  # for real G, Gc is G: the tilde residual would repeat these
+            target = (left @ Gc.T) @ G if wide else left @ K.conj()
+            squares[1] += _squared_norm(_pt_matvec(G, _pt_matvec(Gc, V, Gc), G) - target)
+    # sqrt(mean_k ||R V_k||_F^2); the mean is an unbiased estimate of ||R||_F^2.
+    return float(np.sqrt(max(squares) / _PROBES))
 
 
 def concurrence_route_D(state: GridState | Split, bipartition: Bipartition) -> float:

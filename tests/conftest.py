@@ -1,4 +1,7 @@
-"""Shared fixtures: seeded random-state corpora used across test modules."""
+"""Shared fixtures: seeded random-state corpora used across test modules,
+and a traced-memory helper."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,16 @@ def shaped_state(rng, shape, product=False):
     else:
         amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return GridState.from_amplitudes(tuple(GridAxis(-4.0, 4.0, n) for n in shape), amp)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def raw_split(M):

@@ -3,7 +3,6 @@ separability decisions, checked against brute-force loop oracles and the
 two-mode Gaussian closed forms."""
 
 import sys
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +27,7 @@ from cvconc.errors import DegenerateStateError, InputError
 from cvconc.quadrature import ProductRule
 
 import oracles
-from conftest import random_grid_state, random_product_state, shaped_state
+from conftest import random_grid_state, random_product_state, shaped_state, traced_peak
 
 BP = Bipartition(2, (0,))
 E2_C1 = 2.0 - np.sqrt(3.0)
@@ -144,6 +143,53 @@ def test_family_p2_matches_the_slice_pair_sum_on_product_states(shape, members):
     bp = Bipartition(len(shape), members)
     expected = oracles.family_p_norm(state, bp, 2)
     assert abs(family_measure(state, bp, "identity", 2, 1) - expected) < 1e-14
+
+
+def _family_p2_one_block(sp, func):
+    """The family at p = 2 with every gm x gm array formed at once."""
+    F, wm, wrest = sp.F, sp.wm, sp.wrest
+    row_norms = (np.abs(F) ** 2) @ wrest
+    overlaps = (F * wrest) @ F.conj().T
+    outer = np.outer(row_norms, row_norms)
+    norm_sq = outer - np.abs(overlaps) ** 2
+    norm_sq[norm_sq <= 8.0 * np.finfo(float).eps * outer] = 0.0
+    np.fill_diagonal(norm_sq, 0.0)
+    return float(wm @ func(np.sqrt(norm_sq)) @ wm)
+
+
+@pytest.mark.parametrize("product", [False, True])
+@pytest.mark.parametrize("shape, members", [
+    ((8, 8), (0,)), ((12, 12), (0,)), ((16, 16), (0,)),
+    ((6, 6, 6), (0,)), ((7, 7, 7), (0,)), ((8, 8, 8), (0,)),
+    ((6, 6, 6), (0, 2)), ((7, 7, 7), (0, 2)), ((8, 8, 8), (0, 2)),
+])
+def test_family_p2_is_one_block_on_small_shapes(shape, members, product):
+    # The benchmark's library shapes fit one row block of the chunk budget,
+    # so each value is the one-block form's, bit for bit.
+    state = shaped_state(np.random.default_rng(sum(shape) + len(members)), shape, product)
+    sp = cv.split(state, Bipartition(len(shape), members))
+    for f in ("identity", "two_x_squared", ("power", 0.5)):
+        value = family_measure(sp, sp.bipartition, f, 2, 1)
+        assert value == _family_p2_one_block(sp, cv.concurrence._resolve_f(f)), f
+
+
+@pytest.mark.parametrize("product", [False, True])
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_family_p2_in_row_blocks_matches_one_block(monkeypatch, rows, product):
+    # 512 x 4 goes in 16 blocks of 32 rows at the default budget, and in
+    # blocks of 1 or 7 rows (the last one short) at a budget of that many
+    # rows. The cutoff and the zero diagonal hold in every block: a product
+    # state's value stays 0.
+    state = shaped_state(np.random.default_rng(67), (512, 4), product)
+    sp = cv.split(state, BP)
+    reference = _family_p2_one_block(sp, lambda x: x)
+    if rows is not None:
+        monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 48 * 512 * rows)
+    value = family_measure(sp, BP, "identity", 2, 1)
+    if product:
+        assert value == reference == 0.0
+    else:
+        assert abs(value - reference) <= 1e-14 * reference
 
 
 FAMILY_PRESETS = {
@@ -470,12 +516,7 @@ def test_witness_memory_on_a_long_complement():
     axes = (GridAxis(-4.0, 4.0, 8), GridAxis(-4.0, 4.0, 4096))
     state = GridState.from_amplitudes(axes, rng.normal(size=(8, 4096))
                                       + 1j * rng.normal(size=(8, 4096)))
-    tracemalloc.start()
-    try:
-        cert = decide_separability(state, BP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cert, peak = traced_peak(decide_separability, state, BP)
     assert cert.verdict == "entangled"
     assert peak < 8 * 2**20, peak
     ((a,), (b,)), ((x,), (y,)) = cert.witness.slice_pair, cert.witness.basis_pair
@@ -593,12 +634,7 @@ def test_gram_routes_memory_on_the_smaller_side():
     # the smaller side needs a 16^2 one and a conjugated copy of G (1 MiB).
     sp = _random_split((4096, 16), 7)
     for name in GRAM_ROUTES:
-        tracemalloc.start()
-        try:
-            cv.concurrence.ROUTES[name][1](sp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(cv.concurrence.ROUTES[name][1], sp)
         assert peak < 4 * 2**20, (name, peak)
 
 

@@ -4,7 +4,6 @@ minimum and its separable lower bound, the probe check of the square
 factorization, route E on lopsided splits, and per-check times."""
 
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from cvconc import Bipartition, GaussianPureState, GridAxis, GridState, transpos
 from cvconc.verification import run_verification
 
 import oracles
-from conftest import random_grid_state, random_product_state, raw_split
+from conftest import random_grid_state, random_product_state, raw_split, traced_peak
 
 BP = Bipartition(2, (0,))
 
@@ -100,8 +99,11 @@ def test_ppt_min_eigenvalue_is_the_dense_minimum(state, bp):
 
 
 def test_factorization_check_rejects_a_corrupted_operator(monkeypatch):
-    state = random_grid_state(np.random.default_rng(29))
-    assert cv.pt_square_factorization_gap(state, BP) < 1e-10
+    # The small state's probes go in one batch; the 48 x 64 state's 3072
+    # amplitudes put them in four batches of two.
+    states = (random_grid_state(np.random.default_rng(29)), random_state(29, (48, 64)))
+    for state in states:
+        assert cv.pt_square_factorization_gap(state, BP) < 1e-10
     original = transpose._pt_matvec
 
     def corrupted(A, V, B):
@@ -110,9 +112,10 @@ def test_factorization_check_rejects_a_corrupted_operator(monkeypatch):
         return out
 
     monkeypatch.setattr(transpose, "_pt_matvec", corrupted)
-    assert cv.pt_square_factorization_gap(state, BP) > 1e-10
-    checks = {c["name"]: c for c in run_verification(state, BP).checks}
-    assert not checks["pt_square_factorization"]["passed"]
+    for state in states:
+        assert cv.pt_square_factorization_gap(state, BP) > 1e-10
+        checks = {c["name"]: c for c in run_verification(state, BP).checks}
+        assert not checks["pt_square_factorization"]["passed"]
 
 
 def test_factorization_probes_are_deterministic():
@@ -141,6 +144,60 @@ def test_factorization_probes_are_seeded_unit_phases(monkeypatch):
     assert np.all(np.abs(V) == 1.0)
     assert set(np.unique(V).tolist()) == {1.0, 1.0j, -1.0, -1.0j}
     assert np.array_equal(draws[0], draws[1])
+
+
+@pytest.mark.parametrize("batch, sizes", [(1, [1] * 8), (3, [3, 3, 2])])
+def test_factorization_probes_in_batches_are_one_seeded_draw(monkeypatch, batch, sizes):
+    # At a budget of `batch` probes the eight go in batches. The probes that
+    # reach the first matrix-free application of each batch (rho_PT on the
+    # probes themselves, A = G), in order, are one seeded draw of all eight,
+    # and the gap moves only by the order of the sums.
+    sp = cv.split(random_grid_state(np.random.default_rng(37)), BP)
+    one_batch = cv.pt_square_factorization_gap(sp, BP)
+    original, probes = transpose._pt_matvec, []
+
+    def recording(A, V, B):
+        if A is sp.G and np.all(np.abs(V) == 1.0):
+            probes.append(V.copy())
+        return original(A, V, B)
+
+    monkeypatch.setattr(transpose, "_pt_matvec", recording)
+    monkeypatch.setattr(cv.wedge, "_CHUNK_BUDGET", 96 * sp.G.size * batch)
+    gap = cv.pt_square_factorization_gap(sp, BP)
+    draw = np.random.default_rng(transpose._PROBE_SEED).integers(
+        4, size=(transpose._PROBES, *sp.G.shape))
+    assert [V.shape[0] for V in probes] == sizes
+    assert np.array_equal(np.concatenate(probes), transpose._PHASES[draw])
+    assert abs(gap - one_batch) <= 1e-15
+
+
+GAUSS3 = GaussianPureState(np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]))
+
+
+def gaussian3_split(points):
+    """The real split {0} of the 3-mode Gaussian on points^3 nodes over [-8, 8]."""
+    return cv.split(cv.discretize(GAUSS3, [GridAxis(-8.0, 8.0, points)] * 3), Bipartition(3, (0,)))
+
+
+@pytest.mark.parametrize("points", [18, 32])
+def test_factorization_check_memory_within_the_chunk_budget(points):
+    # All eight probes and their products at once held about 80 copies of G:
+    # 4.3 MiB traced on the real 18 x 324 split and 20 MiB on 32 x 1024. In
+    # batches within the chunk budget the check holds a few copies of G.
+    sp = gaussian3_split(points)
+    gap, peak = traced_peak(cv.pt_square_factorization_gap, sp, sp.bipartition)
+    assert gap < 1e-10
+    assert peak <= 2 * cv.wedge._CHUNK_BUDGET + 16 * sp.G.nbytes, peak / 2**20
+
+
+def test_verification_memory_within_the_chunk_budget():
+    # Every check of a verification on the prepared real 32 x 1024 split stays
+    # within the probe check's bound, 5.5 MiB; the verification traced
+    # 20.2 MiB when the probe check held all eight probes at once.
+    sp = gaussian3_split(32)
+    report, peak = traced_peak(run_verification, sp, sp.bipartition)
+    assert report.overall, [c for c in report.checks if not c["passed"]]
+    assert peak <= 2 * cv.wedge._CHUNK_BUDGET + 16 * sp.G.nbytes, peak / 2**20
 
 
 def test_verify_passes_on_splits_beyond_the_dense_cap():
@@ -173,12 +230,7 @@ def test_route_e_on_a_lopsided_split_stays_within_the_chunk_budget():
     state = random_state(59, (8, 2048))
     G = cv.split(state, BP).G
     reference = 2.0 * (1.0 - np.linalg.norm(G @ G.conj().T) * np.linalg.norm(G.T @ G.conj()))
-    tracemalloc.start()
-    try:
-        value = cv.concurrence_route_E(state, BP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(cv.concurrence_route_E, state, BP)
     assert peak < 4 * 2**20
     assert abs(value - reference) < 1e-12
     assert abs(cv.concurrence_route_E(state, Bipartition(2, (1,))) - reference) < 1e-12

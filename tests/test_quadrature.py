@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import cvconc as cv
 from cvconc import GridAxis, ProductRule, gauss_hermite_rule, integrate, midpoint_rule
 from cvconc.errors import InputError, NumericError
 
-from conftest import random_grid_state
+from conftest import random_grid_state, traced_peak
 
 
 def test_rule_validation():
@@ -135,6 +136,29 @@ def test_integrate_rejects_nonfinite():
     rule = midpoint_rule([GridAxis(0.0, 1.0, 4)])
     with np.errstate(divide="ignore"), pytest.raises(NumericError):
         integrate(rule, lambda x: 1.0 / (x - rule.nodes[0][2]))
+
+
+def test_integrate_refuses_a_rule_above_the_node_cap():
+    # 4097 x 4096 nodes is one row above the cap of 2^24; the integrand is
+    # never called.
+    rule = ProductRule(nodes=(np.arange(4097.0), np.arange(4096.0)),
+                       weights=(np.ones(4097), np.ones(4096)))
+    calls = []
+    with pytest.raises(InputError, match="16781312 nodes"):
+        integrate(rule, lambda *xs: calls.append(xs))
+    assert not calls
+
+
+def test_wigner_normalization_of_three_modes_is_refused_before_any_mesh():
+    # The default 40 points per phase-space axis ask for 40^6 = 4.1e9 nodes
+    # on a 3-mode state; the refusal traces under 1 MiB, so no mesh was formed.
+    state = cv.GaussianPureState(np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]))
+
+    def refused():
+        with pytest.raises(InputError, match="4096000000 nodes"):
+            cv.wigner_normalization(state)
+
+    assert traced_peak(refused)[1] < 2**20
 
 
 def test_integrate_deterministic():

@@ -2,7 +2,6 @@
 bipartitions."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from cvconc import (
 from cvconc.errors import InputError, StateValidityError, TruncationWarning
 
 import oracles
+from conftest import traced_peak
 
 
 def test_axis_nodes_and_weights():
@@ -418,11 +418,6 @@ def test_discretize_memory_at_64_cubed():
     state = GaussianPureState(np.array(SAMPLED_GAUSSIANS["real-3"]))
     axes = [GridAxis(-8.0, 8.0, 64)] * 3
     discretize(state, axes)
-    tracemalloc.start()
-    try:
-        grid = discretize(state, axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    grid, peak = traced_peak(discretize, state, axes)
     assert grid.amplitudes.shape == (64, 64, 64)
     assert peak <= 12.5 * 2**20, peak / 2**20

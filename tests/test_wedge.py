@@ -3,7 +3,6 @@ identity, and the minors and memory bound of the chunked wedge kernel."""
 
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from cvconc import transpose as cv_transpose
 from cvconc.errors import InputError
 
 import oracles
-from conftest import raw_split
+from conftest import raw_split, traced_peak
 
 
 def _weighted_norms(f, g, w):
@@ -183,12 +182,7 @@ def test_wedge_consumers_hold_a_bounded_chunk(consumer):
         "family_p1": lambda: family_measure(state, bp, "identity", 1, 1),
         "family_pinf": lambda: family_measure(state, bp, "identity", np.inf, 1),
     }[consumer]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run)
     assert peak < 4 * 2**20
 
 
@@ -377,15 +371,6 @@ def _grid_state(shape, seed):
     return GridState.from_amplitudes(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("consumer", ["route_A", "route_D", "family_p1", "family_pinf"])
 @pytest.mark.parametrize("shape", [(4, 4096), (4096, 4)])
 def test_wedge_kernel_memory_is_bounded_for_any_shape(shape, consumer):
@@ -402,7 +387,7 @@ def test_wedge_kernel_memory_is_bounded_for_any_shape(shape, consumer):
         "family_p1": lambda: family_measure(state, short, "identity", 1, 1),
         "family_pinf": lambda: family_measure(state, short, "identity", np.inf, 1),
     }[consumer]
-    assert _traced_peak(run) < 4 * 2**20
+    assert traced_peak(run)[1] < 4 * 2**20
 
 
 @pytest.mark.parametrize("p", [1, np.inf])
@@ -412,7 +397,16 @@ def test_family_memory_is_bounded_on_a_long_member_block(p):
     # the slice pairs, and holds one block's norms at a time.
     state = _grid_state((2048, 4), 12)
     bp = Bipartition(2, (0,))
-    assert _traced_peak(lambda: family_measure(state, bp, "identity", p, 1)) < 4 * 2**20
+    assert traced_peak(family_measure, state, bp, "identity", p, 1)[1] < 4 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(2048, 4), (4, 2048)])
+def test_family_p2_memory_is_bounded_on_either_member_block(shape):
+    # Split {0} of 2048 x 4 has 2048^2 slice pairs: their overlaps, squared
+    # wedge norms and cutoff mask held at once traced 192 MiB. They go in
+    # blocks of rows within the chunk budget; 4 x 2048 is one block of 4.
+    state = _grid_state(shape, 12)
+    assert traced_peak(family_measure, state, Bipartition(2, (0,)), "identity", 2, 1)[1] < 4 * 2**20
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -426,7 +420,7 @@ def test_route_A_memory_is_bounded_on_a_long_row_walk(shape, dtype):
     if dtype is complex:
         amp += 1j * rng.normal(size=shape)
     state = GridState.from_amplitudes(tuple(GridAxis(-4.0, 4.0, n) for n in shape), amp)
-    assert _traced_peak(lambda: concurrence_route_A(state, Bipartition(2, (0,)))) < 2 * 2**20
+    assert traced_peak(concurrence_route_A, state, Bipartition(2, (0,)))[1] < 2 * 2**20
 
 
 def test_lagrange_gap_memory_is_bounded():
@@ -434,7 +428,7 @@ def test_lagrange_gap_memory_is_bounded():
     f = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     g = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     w = rng.uniform(0.5, 1.5, size=4096)
-    assert _traced_peak(lambda: lagrange_identity_gap(f, g, w)) < 4 * 2**20
+    assert traced_peak(lagrange_identity_gap, f, g, w)[1] < 4 * 2**20
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
