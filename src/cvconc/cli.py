@@ -3,7 +3,8 @@ concurrence reports, identity verification, and factorization of separable
 states.
 
 Exit codes: 0 success, 1 input or physical-parameter error, 2 state-validity
-error, 3 internal-consistency or verification failure.
+error or usage error (argparse's convention), 3 internal-consistency or
+verification failure.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
     func = _resolve_f(f)
     sp = split(state, bipartition)
     F, wm, wrest = sp.F, sp.wm, sp.wrest
-    if p == 1 or p == np.inf or p == "inf":
+    if p == 1 or p == np.inf:
         # Each minor D of (F w_rest) for p = 1, or of F for p = inf, is the wedge
         # coefficient of a slice pair a < b at a complement pair x < y,
         # weighted by w_x w_y for p = 1; |D| reduces over the complement pairs
@@ -193,7 +193,7 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
             norm_sq.reshape(-1)[r0::gm + 1] = 0.0
             integral += float(wm[r0:r1] @ func(np.sqrt(norm_sq)) @ wm)
     else:
-        raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or inf")
+        raise InputError(f"unsupported p-norm order {p!r}; use 1, 2 or np.inf")
     return integral ** (1.0 / q)
 
 

@@ -16,8 +16,8 @@ CROSS_BLOCK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TwoModeGaussianSpec:
-    """Two-mode Gaussian exp(-(a x1^2 + b x2^2 + c x1 x2)/2) with c restricted
-    to the purely real or purely imaginary branch."""
+    """Two-mode Gaussian exp(-(a x1^2 + b x2^2 + c x1 x2)/2) with any finite
+    complex coupling c; it is normalizable iff |Re c| < 2 sqrt(ab)."""
 
     a: float
     b: float
@@ -29,69 +29,58 @@ class TwoModeGaussianSpec:
             raise InputError("a, b and c must be finite")
         if not (self.a > 0.0 and self.b > 0.0):
             raise InputError("a and b must be positive")
-        if c.real != 0.0 and c.imag != 0.0:
-            raise InputError(
-                "mixed-phase c is outside the closed-form family; "
-                "use the grid backend for general complex couplings"
-            )
         object.__setattr__(self, "c", c)
-        if self.branch == "real_c" and not _coupling_ratio(self) < 1.0:
+        if not _coupling_ratios(self)[0] < 1.0:
             raise UnphysicalStateError(
-                f"real coupling |c| = {abs(c.real):.6g} >= 2 sqrt(ab); "
-                "state is not normalizable"
+                f"|Re c| = {abs(c.real):.6g} >= 2 sqrt(ab); state is not normalizable"
             )
-
-    @property
-    def branch(self) -> str:
-        return "imag_c" if self.c.imag != 0.0 else "real_c"
 
     def to_precision_matrix(self) -> GaussianPureState:
         half = self.c / 2.0
         return GaussianPureState(np.array([[self.a, half], [half, self.b]]))
 
 
-def _coupling_ratio(spec: TwoModeGaussianSpec) -> float:
-    """r = |c| / (2 sqrt(ab)), formed from sqrt(a) sqrt(b), which cannot
-    underflow or overflow where ab would; inf when the quotient overflows."""
-    return abs(spec.c) / (2.0 * math.sqrt(spec.a) * math.sqrt(spec.b))
+def _coupling_ratios(spec: TwoModeGaussianSpec) -> tuple:
+    """r = |Re c| / (2 sqrt(ab)) and m = |Im c| / (2 sqrt(ab)), formed from
+    sqrt(a) sqrt(b), which cannot underflow or overflow where ab or
+    2 sqrt(ab) would; inf when a quotient overflows."""
+    root = math.sqrt(spec.a) * math.sqrt(spec.b)
+    return abs(spec.c.real) / root / 2.0, abs(spec.c.imag) / root / 2.0
 
 
 def closed_form_concurrence(spec: TwoModeGaussianSpec) -> float:
-    """Squared concurrence across the two modes.
+    """Squared concurrence across the two modes, E^2 = 2 (1 - mu).
 
-    Real branch:      2 [1 - sqrt(4ab - c^2) / (2 sqrt(ab))] = 2u / (1 + sqrt(1 - u)),
-                      u = c^2 / (4ab)
-    Imaginary branch: 2 [1 - 2 sqrt(ab) / sqrt(4ab + m^2)]
-                      = 2v / (sqrt(1 + v) (1 + sqrt(1 + v))), v = m^2 / (4ab), c = i m
-    The second forms, evaluated here, subtract nothing close to 1, so a weak
-    coupling keeps its relative precision (the first gives 0 for the 2.5e-19
-    of a = b = 1, c = 1e-9). u = v = r^2 with r = _coupling_ratio(spec),
-    which the spec holds below 1 on the real branch; the factors r/s and
-    r/(1 + s), s = hypot(1, r), cannot overflow.
+    The reduced purity is mu = det(2 V_1)^(-1/2) = sqrt((1 - r^2) / (1 + m^2))
+    with (r, m) = _coupling_ratios(spec), so with t = hypot(1, m)
+
+        E^2 = 2 w / (1 + sqrt((1 - r) (1 + r)) / t),  w = (r/t)^2 + (m/t)^2.
+
+    This subtracts nothing close to 1, so a weak coupling keeps its relative
+    precision (the paper's 2 [1 - sqrt(4ab - c^2) / (2 sqrt(ab))] gives 0 for
+    the 2.5e-19 of a = b = 1, c = 1e-9), and r/t and m/t cannot overflow.
+    m = 0 is the paper's real-c form and r = 0 its imaginary-c form
+    2 [1 - 2 sqrt(ab) / sqrt(4ab + |c|^2)]; E^2 tends to 2 as m grows.
     """
-    r = _coupling_ratio(spec)
-    if spec.branch == "real_c":
-        return 2.0 * r * r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
-    if math.isinf(r):
+    r, m = _coupling_ratios(spec)
+    if math.isinf(m):
         return 2.0
-    s = math.hypot(1.0, r)
-    return 2.0 * (r / s) * (r / (1.0 + s))
+    t = math.hypot(1.0, m)
+    w = (r / t) ** 2 + (m / t) ** 2
+    return 2.0 * w / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)) / t)
 
 
 def closed_form_normalization(spec: TwoModeGaussianSpec) -> float:
-    """The two-mode normalization constant for the matching branch.
+    """The two-mode normalization constant
 
-    Real branch:      (4ab - c^2)^(1/4) / sqrt(2 pi)
-                      = (ab)^(1/4) ((1 - r) (1 + r))^(1/4) / sqrt(pi)
-    Imaginary branch: (ab)^(1/4) / sqrt(pi)
-    with r = _coupling_ratio(spec); (ab)^(1/4) is taken as a^(1/4) b^(1/4),
-    since ab underflows or overflows for a and b far from 1.
+        (4ab - (Re c)^2)^(1/4) / sqrt(2 pi) = (ab)^(1/4) ((1 - r) (1 + r))^(1/4) / sqrt(pi)
+
+    with r = |Re c| / (2 sqrt(ab)); Im c does not enter. (ab)^(1/4) is taken
+    as a^(1/4) b^(1/4), since ab underflows or overflows for a and b far from 1.
     """
+    r = _coupling_ratios(spec)[0]
     root = math.sqrt(math.sqrt(spec.a)) * math.sqrt(math.sqrt(spec.b)) / math.sqrt(math.pi)
-    if spec.branch == "real_c":
-        r = _coupling_ratio(spec)
-        return root * math.sqrt(math.sqrt((1.0 - r) * (1.0 + r)))
-    return root
+    return root * math.sqrt(math.sqrt((1.0 - r) * (1.0 + r)))
 
 
 @dataclass(frozen=True)
@@ -123,12 +112,13 @@ def gaussian_separability(A, bipartition: Bipartition) -> GaussianSeparabilityRe
 def sweep_concurrence(a: float, b: float, branch: str, c_values):
     """Closed-form (c, E^2, norm) rows over a list of coupling values.
 
-    For the real branch, values at or beyond the physical boundary are marked
-    with NaN entries rather than aborting the sweep.
+    branch "real" sweeps c = value and "imag" sweeps c = i value. Real values
+    at or beyond the physical boundary are marked with NaN entries rather
+    than aborting the sweep.
     """
-    if branch not in ("real", "imag", "real_c", "imag_c"):
+    if branch not in ("real", "imag"):
         raise InputError(f"unknown branch {branch!r}; use 'real' or 'imag'")
-    imag = branch.startswith("imag")
+    imag = branch == "imag"
     rows = []
     for value in c_values:
         value = float(value)

@@ -39,10 +39,6 @@ class ProductRule:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def ndim(self) -> int:
-        return len(self.nodes)
-
-    @property
     def total_points(self) -> int:
         count = 1
         for n in self.nodes:
@@ -96,8 +92,12 @@ def gauss_hermite_rule(points_per_axis: int, scale=1.0, ndim: int = None) -> Pro
     if points < 1:
         raise InputError("Gauss-Hermite rule needs at least one node")
     scales = np.atleast_1d(np.asarray(scale, dtype=float))
-    if ndim is not None and scales.size == 1:
-        scales = np.full(ndim, scales[0])
+    if ndim is not None:
+        ndim = _whole_number(ndim, "Gauss-Hermite ndim")
+        if ndim < 1 or scales.size not in (1, ndim):
+            raise InputError(f"{scales.size} scales given for a rule of ndim = {ndim}")
+        if scales.size == 1:
+            scales = np.full(ndim, scales[0])
     if not np.all((scales > 0.0) & np.isfinite(scales)):
         raise InputError("scales must be positive and finite")
     x, total = _hermite_nodes(points)
@@ -110,24 +110,23 @@ def gauss_hermite_rule(points_per_axis: int, scale=1.0, ndim: int = None) -> Pro
 def integrate(rule: ProductRule, f) -> complex:
     """Deterministic weighted sum of f over the product grid.
 
-    f is called with one positional coordinate array per axis (broadcast over
-    the full mesh). A callable that rejects arrays with TypeError or
-    ValueError, as scalar-only code does, is evaluated point by point. A rule
-    of more than _MAX_NODES nodes is refused before any mesh is formed.
+    f is called once, with one positional coordinate array per axis (broadcast
+    over the full mesh); its result is broadcast to the mesh shape, so a
+    constant works, and f's own exceptions propagate. A rule of more than
+    _MAX_NODES nodes is refused before any mesh is formed.
     """
     if rule.total_points > _MAX_NODES:
         raise InputError(f"quadrature rule has {rule.total_points} nodes, more than "
                          f"{_MAX_NODES}; use fewer points per axis")
     mesh = np.meshgrid(*rule.nodes, indexing="ij")
     shape = mesh[0].shape if mesh else ()
+    values = np.asarray(f(*mesh), dtype=np.complex128)
     try:
-        values = np.asarray(f(*mesh), dtype=np.complex128)
-        if values.shape != shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        values = np.array([f(*pt) for pt in flat], dtype=np.complex128).reshape(shape)
-    if not np.all(np.isfinite(values.view(float))):
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise InputError(f"integrand returned shape {values.shape}, which does not "
+                         f"broadcast to the mesh shape {shape}") from None
+    if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0]
         node = tuple(float(rule.nodes[k][i]) for k, i in enumerate(bad))
         raise NumericError(f"integrand is not finite at node {node}")

@@ -273,6 +273,9 @@ def test_family_measure_validation():
         family_measure(state, BP, lambda x: x, 2, 2)
     with pytest.raises(InputError):
         family_measure(state, BP, "identity", 3, 2)
+    # p is 1, 2 or np.inf; the string "inf" is not a second spelling.
+    with pytest.raises(InputError):
+        family_measure(state, BP, "identity", "inf", 2)
     # A non-finite q or exponent would give NaN, 1.0 or, for ("power", inf),
     # a separable-looking 0.0 on this entangled state.
     for f, q in [("identity", np.nan), ("identity", np.inf),

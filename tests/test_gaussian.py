@@ -65,12 +65,10 @@ def test_closed_form_imag_branch_at_huge_coupling():
     # m^2 overflows; E^2 tends to 2.
     assert closed_form_concurrence(TwoModeGaussianSpec(1e-300, 1e-300, 1e300j)) == 2.0
     assert closed_form_concurrence(TwoModeGaussianSpec(1.0, 1.0, 1e200j)) == 2.0
-
-
-def test_closed_form_branch_detection():
-    assert TwoModeGaussianSpec(1.0, 1.0, 0.5).branch == "real_c"
-    assert TwoModeGaussianSpec(1.0, 1.0, 0.5j).branch == "imag_c"
-    assert TwoModeGaussianSpec(1.0, 1.0, 0.0).branch == "real_c"
+    # So it does with a real part: m = Im c / (2 sqrt(ab)) itself overflows
+    # here, and a finite m near the float limit leaves r/t and m/t finite.
+    assert closed_form_concurrence(TwoModeGaussianSpec(1e-300, 1e-300, 1e-301 + 1e300j)) == 2.0
+    assert closed_form_concurrence(TwoModeGaussianSpec(1.0, 1.0, -1.5 + 1e308j)) == 2.0
 
 
 def test_spec_validation():
@@ -78,8 +76,12 @@ def test_spec_validation():
         TwoModeGaussianSpec(1.0, 1.0, 2.0)
     with pytest.raises(UnphysicalStateError):
         TwoModeGaussianSpec(1.0, 4.0, -4.0)
-    with pytest.raises(InputError):
-        TwoModeGaussianSpec(1.0, 1.0, 1.0 + 1.0j)
+    # A mixed c is physical iff |Re c| < 2 sqrt(ab), whatever its Im c.
+    for c in [2.0 + 1e-3j, -2.0 + 5.0j, 2.5 - 1.0j]:
+        with pytest.raises(UnphysicalStateError):
+            TwoModeGaussianSpec(1.0, 1.0, c)
+    TwoModeGaussianSpec(1.0, 1.0, 1.0 + 1.0j)
+    TwoModeGaussianSpec(1.0, 1.0, 1.9999999 + 100.0j)
     with pytest.raises(InputError):
         TwoModeGaussianSpec(-1.0, 1.0, 0.0)
     # Non-finite input is refused.
@@ -142,6 +144,73 @@ def test_physical_test_holds_for_a_and_b_far_from_1():
         assert closed_form_concurrence(TwoModeGaussianSpec(a, b, 0.999 * edge)) > 1.9
 
 
+def _purity_reference(a, b, c):
+    """2 (1 - mu) with the reduced purity mu = sqrt((ab - p^2) / (ab + q^2)),
+    p = Re c / 2 and q = Im c / 2, at 50 digits from the exact floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b = decimal.Decimal(a), decimal.Decimal(b)
+        p, q = decimal.Decimal(c.real) / 2, decimal.Decimal(c.imag) / 2
+        return float(2 * (1 - ((a * b - p * p) / (a * b + q * q)).sqrt()))
+
+
+# Mixed couplings as (Re c, Im c) / (2 sqrt(ab)); the first is the state
+# A = [[1, .4 + 1.5i], [.4 + 1.5i, 1]] at a = b = 1. A 64-node Gauss-Hermite
+# rule resolves each of them.
+MIXED_RATIOS = [(0.4, 1.5), (0.6, -2.0), (-0.7, 0.7), (0.3, 0.3), (1e-6, 1e-7)]
+# a and b from 1 to the far scales of FAR_SPECS.
+MIXED_SCALES = [(1.0, 1.0), (0.7, 2.3), (40.0, 0.03), (1e-300, 1e-300), (1e-160, 3e-161),
+                (1e200, 1e200), (1e300, 1e-300), (1e-200, 1e250)]
+
+
+def _mixed_spec(a, b, r, m):
+    return TwoModeGaussianSpec(a, b, complex(r, m) * (2.0 * np.sqrt(a) * np.sqrt(b)))
+
+
+@pytest.mark.parametrize("a, b", MIXED_SCALES)
+@pytest.mark.parametrize("r, m", MIXED_RATIOS + [(0.99, 0.01), (0.5, 20.0), (1e-9, 3e-9)])
+def test_closed_form_of_a_mixed_coupling(a, b, r, m):
+    # Mixed c was refused with "use the grid backend"; the one formula is the
+    # reduced purity of any coupling, with both branches as its special cases.
+    spec = _mixed_spec(a, b, r, m)
+    reference = _purity_reference(a, b, spec.c)
+    assert abs(closed_form_concurrence(spec) - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("c", [1e308, 3e307j, 5e307 + 1e308j])
+def test_closed_form_near_the_largest_float(c):
+    # 2 sqrt(ab) = 3.4e308 overflows, and taking r = |c| / inf read E^2 = 0.
+    spec = TwoModeGaussianSpec(1.7e308, 1.7e308, c)
+    reference = _purity_reference(1.7e308, 1.7e308, spec.c)
+    assert abs(closed_form_concurrence(spec) - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("a, b", MIXED_SCALES)
+@pytest.mark.parametrize("r, m", MIXED_RATIOS)
+def test_closed_form_of_a_mixed_coupling_matches_gauss_hermite(a, b, r, m):
+    spec = _mixed_spec(a, b, r, m)
+    rule = cv.gauss_hermite_rule(64, [1.0 / np.sqrt(a), 1.0 / np.sqrt(b)])
+    report = cv.concurrence_gaussian_numeric(spec.to_precision_matrix(), BP, rule)
+    assert abs(report.E2 - closed_form_concurrence(spec)) <= 1e-12
+
+
+def test_closed_form_of_a_mixed_coupling_matches_the_covariance_matrix():
+    # mu = det(2 V_1)^(-1/2) from the covariance matrix of A = R + iI:
+    # V_1 = [[X, C], [C, P]] of mode 0, from the blocks R^-1 / 2,
+    # -R^-1 I / 2 and (R + I R^-1 I) / 2.
+    spec = TwoModeGaussianSpec(1.0, 1.0, 0.8 + 3.0j)
+    A = spec.to_precision_matrix().A
+    R, I = A.real, A.imag
+    Rinv = np.linalg.inv(R)
+    X, C, P = Rinv[0, 0] / 2, -(Rinv @ I)[0, 0] / 2, (R + I @ Rinv @ I)[0, 0] / 2
+    mu = np.linalg.det(2.0 * np.array([[X, C], [C, P]])) ** -0.5
+    e2 = closed_form_concurrence(spec)
+    assert abs(e2 - 2.0 * (1.0 - mu)) <= 4e-16 * e2
+    assert abs(e2 - 0.983217745116412) <= 1e-15
+    expected = spec.to_precision_matrix().normalization
+    assert abs(closed_form_normalization(spec) - expected) <= 2e-16 * expected
+
+
 @pytest.mark.parametrize("imag", [False, True])
 def test_report_keeps_relative_precision_on_weak_entanglement(imag):
     # E2 = 2 (1 - sum lambda^2) cancels to the round-off of lambda_1^2 = 1 - O(c^2):
@@ -157,7 +226,8 @@ def test_report_keeps_relative_precision_on_weak_entanglement(imag):
 def test_normalization_matches_wavefunction_constant():
     # The closed-form constant agrees with the general-n normalization of the
     # matching precision matrix.
-    for a, b, c in [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (2.0, 0.5, 0.7), (1.0, 1.0, 3.0j)]:
+    for a, b, c in [(1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (2.0, 0.5, 0.7), (1.0, 1.0, 3.0j),
+                    (1.0, 1.0, 0.8 + 3.0j), (2.0, 0.5, -0.7 + 1.2j)]:
         spec = TwoModeGaussianSpec(a, b, c)
         assert abs(closed_form_normalization(spec) - spec.to_precision_matrix().normalization) < 1e-14
 
@@ -251,8 +321,11 @@ def test_sweep_marks_unphysical_rows():
 
 
 def test_sweep_rejects_unknown_branch():
-    with pytest.raises(InputError):
-        sweep_concurrence(1.0, 1.0, "both", [0.0])
+    # One spelling per axis: the "real_c"/"imag_c" of the old branch property
+    # are not a second one.
+    for branch in ("both", "real_c", "imag_c"):
+        with pytest.raises(InputError):
+            sweep_concurrence(1.0, 1.0, branch, [0.0])
 
 
 def random_physical_specs(count, seed=29):

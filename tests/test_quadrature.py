@@ -99,6 +99,23 @@ def test_gauss_hermite_validation():
         gauss_hermite_rule(4, scale=-1.0)
 
 
+@pytest.mark.parametrize("scale, ndim", [([1.0, 2.0], 3), ([1.0, 2.0, 3.0], 2)])
+def test_gauss_hermite_refuses_an_ndim_that_contradicts_the_scales(scale, ndim):
+    # The rule took its axis count from the scales and ignored ndim.
+    with pytest.raises(InputError, match=f"{len(scale)} scales.*ndim = {ndim}"):
+        gauss_hermite_rule(8, scale, ndim=ndim)
+    assert len(gauss_hermite_rule(8, scale, ndim=len(scale)).nodes) == len(scale)
+
+
+@pytest.mark.parametrize("ndim", [0, -1, 2.5, "2"])
+def test_gauss_hermite_refuses_an_ndim_that_is_not_a_positive_whole_number(ndim):
+    # These failed inside np.full with a TypeError or ValueError, or, for 0,
+    # at the empty rule.
+    with pytest.raises(InputError, match="ndim"):
+        gauss_hermite_rule(8, 1.0, ndim=ndim)
+    assert len(gauss_hermite_rule(8, 1.0, ndim=2.0).nodes) == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rules_refuse_non_finite_values(bad):
     # NaN passed the old "<= 0" tests and built an all-NaN rule, whose states
@@ -113,10 +130,29 @@ def test_rules_refuse_non_finite_values(bad):
         ProductRule(nodes=([0.0, 1.0],), weights=([1.0, bad],))
 
 
-def test_integrate_scalar_callable_fallback():
+def test_integrate_calls_the_integrand_once():
+    # A result of the wrong shape, or a TypeError or ValueError, restarted the
+    # evaluation node by node: a constant on this 4 x 4 rule was called 17 times.
     rule = midpoint_rule([GridAxis(0.0, 1.0, 4), GridAxis(0.0, 1.0, 4)])
-    value = integrate(rule, lambda x, y: float(x) + float(y))
-    assert abs(value - 1.0) < 1e-12
+    calls = []
+
+    def constant(x, y):
+        calls.append(x)
+        return 3.0
+
+    assert abs(integrate(rule, constant) - 3.0) < 1e-15
+    assert len(calls) == 1
+    calls.clear()
+
+    def scalar_only(x, y):
+        calls.append(x)
+        return float(x) + float(y)
+
+    with pytest.raises(TypeError):
+        integrate(rule, scalar_only)
+    assert len(calls) == 1
+    with pytest.raises(InputError, match=r"shape \(3,\).*\(4, 4\)"):
+        integrate(rule, lambda x, y: np.ones(3))
 
 
 def test_integrate_propagates_integrand_errors():
