@@ -4,6 +4,7 @@ separability criterion for n-mode Gaussian pure states."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +18,18 @@ CROSS_BLOCK_TOL = 1e-12
 @dataclass(frozen=True)
 class TwoModeGaussianSpec:
     """Two-mode Gaussian exp(-(a x1^2 + b x2^2 + c x1 x2)/2) with any finite
-    complex coupling c; it is normalizable iff |Re c| < 2 sqrt(ab)."""
+    complex coupling c; it is normalizable iff |Re c| < 2 sqrt(ab). a and b
+    must be real numbers: a complex a is refused, not read as its real part."""
 
     a: float
     b: float
     c: complex
 
     def __post_init__(self):
+        if not (isinstance(self.a, numbers.Real) and isinstance(self.b, numbers.Real)):
+            raise InputError(f"a and b must be real numbers, got a = {self.a!r}, b = {self.b!r}")
+        if not isinstance(self.c, numbers.Complex):
+            raise InputError(f"c must be a number, got {self.c!r}")
         c = complex(self.c)
         if not np.all(np.isfinite([self.a, self.b, c.real, c.imag])):
             raise InputError("a, b and c must be finite")

@@ -31,7 +31,9 @@ def grid_state_from_dict(data: dict) -> GridState:
         raise InputError(f"malformed grid state file: {exc}")
     if re.shape != im.shape:
         raise InputError("real and imaginary amplitude lists differ in length")
-    return GridState(axes, re + 1j * im)
+    amp = re + 1j * im
+    amp.flags.writeable = False  # handed over, so the state keeps it uncopied
+    return GridState(axes, amp)
 
 
 def gaussian_to_dict(state: GaussianPureState) -> dict:
@@ -71,6 +73,7 @@ def load_state(path):
 
 
 def save_grid_state(state: GridState, path):
+    # json.dumps encodes in C in one go; json.dump streams through the
+    # pure-Python encoder.
     with open(path, "w") as fh:
-        json.dump(grid_state_to_dict(state), fh)
-        fh.write("\n")
+        fh.write(json.dumps(grid_state_to_dict(state)) + "\n")

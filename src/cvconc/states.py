@@ -59,17 +59,33 @@ def _node_weight(axes) -> float:
     return math.prod(ax.delta for ax in axes)
 
 
+def _writeable(a: np.ndarray) -> bool:
+    """Whether a, or any array whose memory it views, can be written to; an
+    array over a buffer that is not a numpy array counts as writeable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        a = a.base
+    return a is not None
+
+
 @dataclass(frozen=True, eq=False)
 class GridState:
     """A dense complex wavefunction sampled on a product of GridAxis nodes.
 
-    Amplitudes are stored row-major with the last axis fastest. The discrete
-    squared norm sum(|amp|^2) * prod(delta_k) must equal 1 within NORM_TOL.
+    Amplitudes are stored row-major with the last axis fastest, read-only. The
+    discrete squared norm sum(|amp|^2) * prod(delta_k) must equal 1 within
+    NORM_TOL. The array is copied only when it would alias an array the caller
+    can still write to, so a state's amplitudes never change after it is built.
+
+    The state holds the last Split that split() built from it, so calls on one
+    state across one bipartition share its block matrix, Gram matrix and SVD.
     """
 
     axes: tuple
     amplitudes: np.ndarray
     diagnostics: dict = field(default_factory=dict, repr=False)
+    _split: "Split" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(self.axes)
@@ -77,15 +93,20 @@ class GridState:
             raise InputError("GridState needs at least one axis")
         object.__setattr__(self, "axes", axes)
         shape = tuple(ax.points for ax in axes)
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.size == math.prod(shape):
-            amp = np.ascontiguousarray(amp.reshape(shape))
-        else:
+        given = np.asarray(self.amplitudes, dtype=np.complex128)
+        if given.size != math.prod(shape):
             raise InputError(
-                f"amplitude count {amp.size} does not match grid of {math.prod(shape)} nodes"
+                f"amplitude count {given.size} does not match grid of {math.prod(shape)} nodes"
             )
+        amp = np.ascontiguousarray(given.reshape(shape))
         if not np.isfinite(amp).all():
             raise InputError("amplitudes must be finite (found NaN or infinity)")
+        # A new array from the conversion is the state's own; the caller's
+        # memory is kept only if nothing can write to it.
+        borrowed = given is self.amplitudes or given.base is not None
+        if borrowed and _writeable(given) and np.may_share_memory(amp, given):
+            amp = amp.copy()
+        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         nsq = self.norm_squared
         if abs(nsq - 1.0) > NORM_TOL:
@@ -117,6 +138,7 @@ class GridState:
         if mass <= 0.0:
             raise InputError("cannot normalize identically zero amplitudes")
         amp /= np.sqrt(mass)
+        amp.flags.writeable = False
         return cls(axes, amp, diagnostics or {})
 
 
@@ -328,8 +350,9 @@ class Split:
     density of the smaller block, conjugated when that is the complement, with
     the nonzero spectrum sigma_i^2 of both blocks; schmidt holds the Schmidt
     weights sigma_i^2, descending, from one values-only SVD of G. Both are
-    formed on first read, cached on the split and read-only, so every route,
-    check and report reads the same arrays. Three readers stay apart on
+    formed on first read and cached on the split. They are read-only, as are
+    the F, G, wm and wrest of from_blocks, so every route, check and report
+    reads the same arrays. Three readers stay apart on
     purpose: the entangled side's PPT certificate takes its own full SVD for
     the singular vectors, the entropy check takes eigvalsh of K so that it compares an
     independent spectrum with the SVD's, and the Hilbert-Schmidt identity
@@ -374,7 +397,10 @@ class Split:
             raise InputError(f"cannot normalize amplitudes of weighted norm {norm}: "
                              "the rule captures no finite mass of the state")
         G /= norm
-        return cls(bipartition, F / norm, wm, wrest, G, axes, mass_defect, norm**2)
+        F, wm, wrest = F / norm, np.array(wm), np.array(wrest)
+        for a in (F, wm, wrest, G):
+            a.flags.writeable = False
+        return cls(bipartition, F, wm, wrest, G, axes, mass_defect, norm**2)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -393,10 +419,19 @@ class Split:
 def split(state: GridState | Split, bipartition: Bipartition) -> Split:
     """The prepared split of a grid state (one call of block_matrix). A Split
     across the same bipartition is returned as it is, so every function that
-    starts here accepts a prepared split in place of the state."""
+    starts here accepts a prepared split in place of the state.
+
+    A grid state holds the last split built from it: a call across an equal
+    bipartition returns that same object, and a call across another one builds
+    a new split that replaces it, so a state holds at most one split."""
     if isinstance(state, Split):
         if state.bipartition != bipartition:
             raise InputError(f"split is across {state.bipartition}, not {bipartition}")
         return state
-    return Split.from_blocks(bipartition, *block_matrix(state, bipartition),
-                             state.diagnostics.get("mass_defect", 0.0), state.axes)
+    held = state._split
+    if held is not None and held.bipartition == bipartition:
+        return held
+    sp = Split.from_blocks(bipartition, *block_matrix(state, bipartition),
+                           state.diagnostics.get("mass_defect", 0.0), state.axes)
+    object.__setattr__(state, "_split", sp)
+    return sp

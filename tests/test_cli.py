@@ -47,6 +47,21 @@ def test_grid_state_round_trip(tmp_path):
     assert np.array_equal(loaded.amplitudes, state.amplitudes)
 
 
+@pytest.mark.parametrize("state", [
+    random_grid_state(np.random.default_rng(5)),
+    cv.discretize(GaussianPureState(np.array([[1.0, 0.4], [0.4, 1.2]])), [GridAxis(-6, 6, 12)] * 2),
+], ids=["complex", "real"])
+def test_a_grid_file_is_one_json_document(tmp_path, state):
+    path = tmp_path / "grid.json"
+    save_grid_state(state, path)
+    assert path.read_bytes() == (json.dumps(grid_state_to_dict(state)) + "\n").encode()
+    loaded = load_state(path)
+    assert loaded.axes == state.axes
+    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+    # The reader hands its array over read-only, as the state keeps it.
+    assert not loaded.amplitudes.flags.writeable
+
+
 def test_gaussian_round_trip():
     state = GaussianPureState(np.array([[1.0, 0.3j], [0.3j, 2.0]]))
     again = gaussian_from_dict(gaussian_to_dict(state))

@@ -94,6 +94,31 @@ def test_spec_validation():
     TwoModeGaussianSpec(1.0, 1.0, 100.0j)
 
 
+@pytest.mark.parametrize("value", [np.complex128(1 + 2j), 1 + 2j, np.complex128(1.0), "1", None],
+                         ids=["numpy-complex", "complex", "numpy-complex-real", "str", "None"])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_spec_refuses_a_non_real_a_or_b(name, value):
+    # Refused before any arithmetic: a numpy complex a must not be read as
+    # its real part with only a ComplexWarning.
+    args = {"a": 1.0, "b": 1.0, "c": 0.5, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="a and b must be real numbers"):
+            TwoModeGaussianSpec(**args)
+
+
+@pytest.mark.parametrize("c", ["1", None, [0.5]])
+def test_spec_refuses_a_non_numeric_c(c):
+    with pytest.raises(InputError, match="c must be a number"):
+        TwoModeGaussianSpec(1.0, 1.0, c)
+
+
+def test_spec_takes_any_real_or_complex_number_type():
+    reference = closed_form_concurrence(TwoModeGaussianSpec(1.0, 2.0, 0.5 + 0.25j))
+    for a, b, c in [(1, 2, 0.5 + 0.25j), (np.float32(1.0), np.int64(2), np.complex128(0.5 + 0.25j))]:
+        assert closed_form_concurrence(TwoModeGaussianSpec(a, b, c)) == reference
+
+
 def test_normalization_values():
     assert abs(closed_form_normalization(TwoModeGaussianSpec(1.0, 1.0, 0.0)) - np.pi**-0.5) < 1e-15
     expected = (2.0 * np.pi / np.sqrt(3.0)) ** -0.5

@@ -1,13 +1,16 @@
 """The prepared split: one block matrix, Gram matrix and Schmidt SVD per
-command, unit norm, the route table every consumer reads, and the one
-Gaussian sampler."""
+command and, in the library, per state and bipartition (the state holds its
+split); read-only arrays, unit norm, the route table every consumer reads, and
+the one Gaussian sampler."""
 
 import dataclasses
 import functools
+import gc
 import json
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from cvconc.quadrature import midpoint_rule
 from cvconc.serialization import gaussian_to_dict, save_grid_state
 
 import oracles
-from conftest import random_grid_state, random_product_state, shaped_state
+from conftest import random_grid_state, random_product_state, shaped_state, traced_peak
 
 BP = Bipartition(2, (0,))
 
@@ -139,13 +142,33 @@ def test_cli_builds_one_block_matrix(tmp_path, capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def library_sequence(state, bp):
+    """The report, the certificate, routes C, D and E and the family at p = 1,
+    2 and inf on one (state, bipartition): the eight calls that each
+    lib-corpus operation of bench/run.py makes."""
+    return (cv.concurrence_report(state, bp), cv.decide_separability(state, bp),
+            cv.concurrence_route_C(state, bp), cv.concurrence_route_D(state, bp),
+            cv.concurrence_route_E(state, bp),
+            cv.family_measure(state, bp, "identity", 1, 1),
+            cv.family_measure(state, bp, "two_x_squared", 2, 1),
+            cv.family_measure(state, bp, "identity", np.inf, 1))
+
+
+def sequence_values(results):
+    """The report's values and verdict, the certificate's verdict and the
+    six numbers of library_sequence, comparable with ==."""
+    report, cert, *numbers = results
+    return report.values(), report.verdict, cert.verdict, numbers
+
+
 def test_library_builds_one_block_matrix(monkeypatch):
-    state = random_product_state(np.random.default_rng(41))
+    # The state holds its split, so every call on (state, BP) reads it.
     calls = count_calls(monkeypatch, cv.states, "block_matrix")
-    cv.concurrence_report(state, BP)
-    assert len(calls) == 1
-    assert cv.decide_separability(state, BP).verdict == "separable"
-    assert len(calls) == 2
+    for make in (random_product_state, random_grid_state):
+        state = make(np.random.default_rng(41))
+        library_sequence(state, BP)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def count_forms(monkeypatch, name):
@@ -182,16 +205,17 @@ def test_cli_forms_one_gram_matrix_and_one_svd(tmp_path, capsys, monkeypatch, ar
 def test_library_forms_one_gram_matrix_and_one_svd_per_split(monkeypatch):
     state = random_grid_state(np.random.default_rng(57))
     grams, weights = count_forms(monkeypatch, "K"), count_forms(monkeypatch, "schmidt")
-    assert cv.run_verification(state, BP).overall
+    library_sequence(state, BP)
     assert (len(grams), len(weights)) == (1, 1)
-    cv.concurrence_report(state, BP)
-    assert (len(grams), len(weights)) == (2, 2)
+    assert cv.run_verification(state, BP).overall
     sp = cv.split(state, BP)
     cv.concurrence_report(sp, BP, routes=conc.ROUTES)
     cv.concurrence_report(sp, BP)
-    assert (len(grams), len(weights)) == (3, 3)
-    assert cv.decide_separability(state, BP).verdict == "entangled"
-    assert (len(grams), len(weights)) == (3, 4)
+    assert (len(grams), len(weights)) == (1, 1)
+    # Across another bipartition the state builds, and holds, a new split.
+    assert cv.decide_separability(state, Bipartition(2, (1,))).verdict == "entangled"
+    cv.concurrence_report(state, Bipartition(2, (1,)))
+    assert (len(grams), len(weights)) == (2, 2)
 
 
 def test_the_gram_matrix_and_schmidt_weights_are_read_only():
@@ -201,6 +225,71 @@ def test_the_gram_matrix_and_schmidt_weights_are_read_only():
         sp.K[0, 0] = 0.0
     with pytest.raises(ValueError):
         sp.schmidt[0] = 0.0
+
+
+def test_a_state_and_its_split_are_read_only():
+    state = random_grid_state(np.random.default_rng(59))
+    sp = cv.split(state, BP)
+    for name, array in [("amplitudes", state.amplitudes),
+                        *((name, getattr(sp, name)) for name in ("F", "G", "wm", "wrest"))]:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        assert not array.flags.writeable, name
+
+
+def read_only_view(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("given", [
+    lambda amp: amp,
+    lambda amp: amp.reshape(-1),
+    read_only_view,
+], ids=["array", "flat-view", "read-only-view"])
+def test_writing_the_callers_array_changes_nothing(given):
+    # The state copies an array the caller can still write to, the same
+    # array or a view of it, before it stores it read-only.
+    base = shaped_state(np.random.default_rng(61), (9, 7))
+    expected = sequence_values(library_sequence(GridState(base.axes, base.amplitudes), BP))
+    amp = np.array(base.amplitudes)
+    state = GridState(base.axes, given(amp))
+    amp[0] = 0.0
+    assert np.array_equal(state.amplitudes, base.amplitudes)
+    assert sequence_values(library_sequence(state, BP)) == expected
+    amp[1] = 0.0
+    assert np.array_equal(state.amplitudes, base.amplitudes)
+    assert np.array_equal(cv.split(state, BP).F, cv.split(base, BP).F)
+
+
+def test_a_read_only_array_is_kept_without_a_copy():
+    state = shaped_state(np.random.default_rng(61), (64, 64))
+    assert np.shares_memory(GridState(state.axes, state.amplitudes).amplitudes, state.amplitudes)
+    # from_amplitudes copies its input once, to scale it, and hands that over.
+    amp = np.array(state.amplitudes)
+    _, peak = traced_peak(GridState.from_amplitudes, state.axes, amp)
+    assert peak < 1.5 * amp.nbytes, peak
+
+
+def test_a_state_holds_only_its_last_split(monkeypatch):
+    state = shaped_state(np.random.default_rng(71), (5, 4, 6))
+    b0, b1 = Bipartition(3, (0,)), Bipartition(3, (1,))
+    calls = count_calls(monkeypatch, cv.states, "block_matrix")
+    first = cv.split(state, b0)
+    assert cv.split(state, Bipartition(3, [0])) is first
+    values = cv.concurrence_report(first, b0, routes=conc.ROUTES).values()
+    dropped = weakref.ref(first)
+    del first
+    assert cv.split(state, b1) is cv.split(state, b1)
+    gc.collect()
+    assert dropped() is None
+    last = cv.split(state, b0)
+    assert len(calls) == 3
+    assert cv.split(state, b0) is last and len(calls) == 3
+    assert cv.concurrence_report(state, b0, routes=conc.ROUTES).values() == values
+    cv.split(state, b1)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("state", [
@@ -293,7 +382,12 @@ def test_a_prepared_split_gives_the_value_of_the_state(monkeypatch, name, shape,
     calls = count_calls(monkeypatch, cv.states, "block_matrix")
     from_split = SPLIT_CONSUMERS[name](sp, bp)
     assert len(calls) == 0
-    assert from_split == SPLIT_CONSUMERS[name](state, bp)
+    # The state holds sp; a second state on the same read-only amplitudes
+    # holds no split, so its call builds a fresh one.
+    assert SPLIT_CONSUMERS[name](state, bp) == from_split
+    assert len(calls) == 0
+    fresh = GridState(state.axes, state.amplitudes)
+    assert SPLIT_CONSUMERS[name](fresh, bp) == from_split
     assert len(calls) == 1
 
 
@@ -328,9 +422,11 @@ def test_a_prepared_split_gives_the_certificate_and_checks_of_the_state(
     cert, checks = cv.decide_separability(sp, bp), cv.run_verification(sp, bp)
     assert len(calls) == 0
     assert cert.verdict == ("separable" if product else "entangled")
-    assert same_certificate(cert, cv.decide_separability(state, bp))
-    assert verification_rows(checks) == verification_rows(cv.run_verification(state, bp))
-    assert len(calls) == 2
+    # A second state on the same amplitudes builds one fresh split for both.
+    fresh = GridState(state.axes, state.amplitudes)
+    assert same_certificate(cert, cv.decide_separability(fresh, bp))
+    assert verification_rows(checks) == verification_rows(cv.run_verification(fresh, bp))
+    assert len(calls) == 1
 
 
 def test_a_split_carries_what_its_state_knew():

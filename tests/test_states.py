@@ -308,7 +308,8 @@ def _array_holders():
     bp = Bipartition(2, (0,))
     return {
         "GridState": lambda: GridState(state.axes, state.amplitudes),
-        "Split": lambda: cv.split(state, bp),
+        # A state holds its split, so each Split comes from a state of its own.
+        "Split": lambda: cv.split(GridState(state.axes, state.amplitudes), bp),
         "GaussianPureState": lambda: GaussianPureState(np.eye(2, dtype=complex)),
         "ProductRule": lambda: cv.midpoint_rule(state.axes),
         "DiscreteOperator": lambda: cv.build_rho_pt(state, bp),
