@@ -133,48 +133,77 @@ def _resolve_f(f):
     )
 
 
+def _family_integrals(sp: Split, func) -> tuple:
+    """The family's integrals at p = 1 and p = inf, before the q-th root, from
+    one walk over F.
+
+    Each minor D of F is the wedge coefficient of a slice pair a < b at a
+    complement pair x < y; |D| reduces over the complement pairs, weighted by
+    w_x w_y for p = 1 and by its largest value for p = inf, before f sees the
+    norm. The pairs b < a double the sum, and a = b adds nothing because every
+    preset has f(0) = 0.
+    """
+    F, wm, wrest = sp.F, sp.wm, sp.wrest
+    gm, gmbar = F.shape
+    if _walk_rows(gm, gmbar, F.itemsize):
+        # The rows of F are the slices: each chunk's row pairs are slice pairs,
+        # met again in every block, so their norms gather in two gm x gm
+        # matrices, together no larger than 2 |F|.
+        ones, sups = np.zeros((gm, gm)), np.zeros((gm, gm))
+        one_cells, sup_cells = ones.reshape(-1), sups.reshape(-1)
+        for x, y, chunks in _wedge_blocks(F):
+            wxy = wrest[x] * wrest[y]
+            for a, b, d in chunks:
+                k, mag = a * gm + b, np.abs(d)
+                one_cells[k] += mag @ wxy
+                sup_cells[k] = np.maximum(sup_cells[k], mag.max(axis=1))
+        return tuple(2.0 * float(wm @ func(norms) @ wm) for norms in (ones, sups))
+    # The column pairs of F^T are the slice pairs, and each block reduces |D|
+    # over every complement pair, the chunks' row pairs, before the next.
+    one = sup = 0.0
+    for a, b, chunks in _wedge_blocks(F.T):
+        ones = sups = 0.0
+        for x, y, d in chunks:
+            mag = np.abs(d)
+            ones = ones + (wrest[x] * wrest[y]) @ mag
+            sups = np.maximum(sups, mag.max(axis=0))
+        wab = wm[a] * wm[b]
+        one += 2.0 * float(wab @ func(ones))
+        sup += 2.0 * float(wab @ func(sups))
+    return one, sup
+
+
 def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) -> float:
     """Member of the faithful measure family: apply f to the p-norm of the
-    wedge of every pair of member-block slices, integrate, take the q-th root."""
+    wedge of every pair of member-block slices, integrate, take the q-th root.
+
+    p = 1 and p = inf read the same minors, so one walk over F gives both
+    integrals, which the split keeps by f preset, two floats each: a later
+    call for either p with that f, and any q, reads them without walking
+    again. p = 2 takes the Lagrange form of each slice pair's wedge norm and
+    walks no minor.
+    """
     q = float(q)
     if not (np.isfinite(q) and q > 0.0):
         raise InputError("q must be positive and finite")
     func = _resolve_f(f)
     sp = split(state, bipartition)
-    F, wm, wrest = sp.F, sp.wm, sp.wrest
     if p == 1 or p == np.inf:
-        # Each minor D of (F w_rest) for p = 1, or of F for p = inf, is the wedge
-        # coefficient of a slice pair a < b at a complement pair x < y,
-        # weighted by w_x w_y for p = 1; |D| reduces over the complement pairs
-        # before f sees the norm. The pairs b < a double the sum, and a = b
-        # adds nothing because every preset has f(0) = 0.
-        ufunc = np.add if p == 1 else np.maximum
-        M = F * wrest if p == 1 else F
-        gm, gmbar = M.shape
-        if _walk_rows(gm, gmbar, M.itemsize):
-            # The rows of F are the slices: each chunk's row pairs are slice
-            # pairs, met again in every block, so their norms gather in a
-            # gm x gm matrix, no larger than F.
-            norms = np.zeros((gm, gm))
-            cells = norms.reshape(-1)
-            for _, _, chunks in _wedge_blocks(M):
-                for a, b, d in chunks:
-                    k = a * gm + b
-                    cells[k] = ufunc(cells[k], ufunc.reduce(np.abs(d), axis=1))
-            integral = 2.0 * float(wm @ func(norms) @ wm)
-        else:
-            # The column pairs of F^T are the slice pairs, and each block
-            # reduces |D| over every complement pair before the next.
-            integral = 0.0
-            for a, b, chunks in _wedge_blocks(M.T):
-                norms = ufunc.reduce([ufunc.reduce(np.abs(d), axis=0) for _, _, d in chunks])
-                integral += 2.0 * float((wm[a] * wm[b]) @ func(norms))
+        # The memo's key: the preset's name, or ("power", alpha) with a float alpha.
+        key = f if isinstance(f, str) else ("power", float(f[1]))
+        integrals = sp._family.get(key)
+        if integrals is None:
+            # Two threads may both walk; each stores the same two floats.
+            integrals = sp._family[key] = _family_integrals(sp, func)
+        one, sup = integrals
+        integral = one if p == 1 else sup
     elif p == 2:
         # The gm x gm squared wedge norms go in blocks of rows within the wedge
         # kernel's chunk budget, read when the measure runs. A block keeps
         # about 48 bytes per entry alive: the complex overlaps and their
         # squared moduli, or the outer product of the row norms, the squared
         # wedge norms and the cutoff's operands.
+        F, wm, wrest = sp.F, sp.wm, sp.wrest
         gm = F.shape[0]
         row_norms = (np.abs(F) ** 2) @ wrest
         Fw, Fh = F * wrest, F.conj().T
@@ -376,7 +405,8 @@ def concurrence_report(state: GridState | Split, bipartition: Bipartition,
     weights = sp.schmidt
     rank = _schmidt_rank(weights, threshold)
     e2 = _squared_concurrence(weights)
-    values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in routes}
+    # A name given twice runs once; the keys keep the order of first naming.
+    values = {ROUTES[name][0]: ROUTES[name][1](sp) for name in dict.fromkeys(routes)}
     spread = [*values.values(), e2]
     return ConcurrenceReport(
         E2=e2,

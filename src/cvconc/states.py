@@ -352,11 +352,15 @@ class Split:
     weights sigma_i^2, descending, from one values-only SVD of G. Both are
     formed on first read and cached on the split. They are read-only, as are
     the F, G, wm and wrest of from_blocks, so every route, check and report
-    reads the same arrays. Three readers stay apart on
-    purpose: the entangled side's PPT certificate takes its own full SVD for
-    the singular vectors, the entropy check takes eigvalsh of K so that it compares an
-    independent spectrum with the SVD's, and the Hilbert-Schmidt identity
-    check calls route D itself rather than reuse a report's value.
+    reads the same arrays. Three readers stay apart on purpose: the entangled
+    side's PPT certificate takes its own full SVD for the singular vectors,
+    the entropy check takes eigvalsh of K so that it compares an independent
+    spectrum with the SVD's, and the Hilbert-Schmidt identity check calls
+    route D itself rather than reuse a report's value.
+
+    _family holds, per f preset of family_measure, the family's integrals at
+    p = 1 and p = inf before the q-th root, both from one wedge walk over F:
+    two floats per preset, never an array.
 
     The split also carries what its state knew: axes, the GridAxis tuple of a
     grid state (None for a split built from another product rule), which the
@@ -378,6 +382,7 @@ class Split:
     axes: tuple = None
     mass_defect: float = 0.0
     norm_squared: float = 1.0
+    _family: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_blocks(cls, bipartition: Bipartition, F, wm, wrest, mass_defect=0.0, axes=None):

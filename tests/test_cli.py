@@ -389,6 +389,21 @@ def test_cmd_concurrence_routes_checked_before_loading(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+def test_cmd_concurrence_runs_a_route_named_twice_once(tmp_path, capsys, monkeypatch):
+    calls, original = [], cv.concurrence.concurrence_route_A
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cv.concurrence, "concurrence_route_A", counting)
+    path = gaussian_file(tmp_path, 0.5)
+    assert main(["concurrence", path, "--M", "0", "--grid", "16", "--routes", "A,A,B"]) == 0
+    assert len(calls) == 1
+    keys = list(json.loads(capsys.readouterr().out))
+    assert keys[:2] == ["route_A_wedge", "route_B_overlap"] and "route_C_purity" not in keys
+
+
 @pytest.mark.parametrize("routes", ["", ",", " , "])
 def test_cmd_concurrence_empty_route_list(tmp_path, capsys, monkeypatch, routes):
     # No route to run is an input error, raised before the state is loaded.

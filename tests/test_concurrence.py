@@ -3,6 +3,7 @@ separability decisions, checked against brute-force loop oracles and the
 two-mode Gaussian closed forms."""
 
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +257,89 @@ def test_family_on_a_gauss_hermite_split(monkeypatch, members, side, p):
     state = SimpleNamespace(amplitudes=amp / np.sqrt(sp.norm_squared), axes=axes)
     expected = oracles.family_p_norm(state, bp, p, _presets_at)
     assert np.all(np.abs(got - expected) <= 1e-14 * expected), (got, expected)
+
+
+# One shape of each walk side: F itself (8 x 64, 7 x 49) and F^T (64 x 8, 49 x 7).
+FUSED_SHAPES = [((8, 64), (0,), "F"), ((7, 7, 7), (0,), "F"),
+                ((64, 8), (0,), "FT"), ((7, 7, 7), (0, 2), "FT")]
+
+
+def _fresh_split(state, bp):
+    """A split of its own for the state: a second state on the same read-only
+    amplitudes holds none yet."""
+    return cv.split(GridState(state.axes, state.amplitudes), bp)
+
+
+@pytest.mark.parametrize("shape, members, side", FUSED_SHAPES)
+def test_one_walk_serves_p1_and_pinf_per_preset(monkeypatch, shape, members, side):
+    # p = 1 and p = inf read the same minors: one walk per (split, f) gives
+    # both, for any q; each further preset walks once more, and p = 2 walks none.
+    state = shaped_state(np.random.default_rng(sum(shape)), shape)
+    bp = Bipartition(len(shape), members)
+    sp = _fresh_split(state, bp)
+    walked = _walked_shapes(monkeypatch)
+    one, sup = (family_measure(sp, bp, "identity", p, 1) for p in (1, np.inf))
+    assert family_measure(sp, bp, "identity", 1, 2) == one ** 0.5
+    assert family_measure(sp, bp, "identity", np.inf, 3) == sup ** (1.0 / 3.0)
+    assert len(walked) == 1
+    family_measure(sp, bp, ("power", 2), np.inf, 1)
+    family_measure(sp, bp, ("power", 2.0), 1, 1)  # the same preset as ("power", 2)
+    assert len(walked) == 2
+    family_measure(sp, bp, "two_x_squared", 1, 1)
+    family_measure(sp, bp, "identity", 2, 1)
+    assert walked == [sp.F.shape if side == "F" else sp.F.shape[::-1]] * 3
+    # The split keeps two floats per preset, never an array.
+    assert all(type(v) is float for pair in sp._family.values() for v in pair)
+    assert sorted(map(len, sp._family.values())) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("shape, members, side", FUSED_SHAPES)
+def test_the_order_of_p_does_not_change_the_bits(shape, members, side):
+    state = shaped_state(np.random.default_rng(sum(shape) + 1), shape)
+    bp = Bipartition(len(shape), members)
+    for f in FAMILY_PRESETS:
+        ones_first, sups_first = _fresh_split(state, bp), _fresh_split(state, bp)
+        got = [family_measure(ones_first, bp, f, p, 1) for p in (1, np.inf)]
+        expected = [family_measure(sups_first, bp, f, p, 1) for p in (np.inf, 1)][::-1]
+        assert got == expected, f
+
+
+def test_two_threads_on_one_split_get_the_single_thread_values():
+    # Both threads may walk before either stores the integrals; each must
+    # still return what one thread alone returns.
+    state = shaped_state(np.random.default_rng(71), (12, 12, 12))
+    bp = Bipartition(3, (0,))
+    calls = [(f, p) for f in FAMILY_PRESETS for p in (1, np.inf, 2)]
+    expected = [family_measure(_fresh_split(state, bp), bp, f, p, 1) for f, p in calls]
+    sp, start, results = _fresh_split(state, bp), threading.Barrier(2), {}
+
+    def run(k):
+        start.wait()
+        results[k] = [family_measure(sp, bp, f, p, 1) for f, p in calls]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == {0: expected, 1: expected}
+
+
+def test_a_route_named_twice_runs_once(monkeypatch):
+    # Route A is quartic: a repeated name must not run it again. The report's
+    # keys keep the order in which the routes were first named.
+    calls, original = [], cv.concurrence.concurrence_route_A
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cv.concurrence, "concurrence_route_A", counting)
+    state = small_random_state(61)
+    report = concurrence_report(state, BP, routes=("B", "A", "A", "B", "A"))
+    assert len(calls) == 1
+    assert list(report.routes) == ["route_B_overlap", "route_A_wedge"]
+    assert report.routes == concurrence_report(state, BP, routes=("B", "A")).routes
 
 
 def test_family_measure_positive_on_entangled():
@@ -626,7 +710,9 @@ def test_gram_routes_match_oracles_on_corpus_shapes(shape, members):
     assert max(errors.values()) < 1e-14, errors
 
 
-@pytest.mark.parametrize("shape", [(4096, 16), (16, 4096), (1, 50), (50, 1)])
+# The oracles form the member-side kernel, 1024^2 on the tall shape; the
+# memory test below takes 4096 x 16.
+@pytest.mark.parametrize("shape", [(1024, 16), (16, 1024), (1, 50), (50, 1)])
 def test_gram_routes_match_oracles_on_lopsided_splits(shape):
     errors = _gram_route_errors(_random_split(shape, sum(shape)))
     assert max(errors.values()) < 1e-14, errors

@@ -491,8 +491,9 @@ def _consumers(M):
     w = np.linspace(0.5, 1.5, M.shape[1])
     return {
         "route_A": lambda: cv_concurrence._wedge_sum_and_max(M),
-        "family_p1": lambda: family_measure(sp, sp.bipartition, "two_x_squared", 1, 1),
-        "family_pinf": lambda: family_measure(sp, sp.bipartition, "identity", np.inf, 1),
+        # A split keeps the family's integrals, so each run takes a new one.
+        "family_p1": lambda: family_measure(raw_split(M), sp.bipartition, "two_x_squared", 1, 1),
+        "family_pinf": lambda: family_measure(raw_split(M), sp.bipartition, "identity", np.inf, 1),
         "lambda_gap": lambda: lambda_invariance_gap(sp, sp.bipartition),
         "lagrange": lambda: lagrange_identity_gap(M[0], M[-1], w),
         "witness": lambda: cv_concurrence._witness_quadruple(M),
