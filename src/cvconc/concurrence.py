@@ -13,7 +13,7 @@ from . import spectral, transpose, wedge
 from .errors import DegenerateStateError, InputError
 from .quadrature import ProductRule
 from .states import Bipartition, GaussianPureState, GridState, Split, _blocks, _sample, split
-from .wedge import _walk_size, _wedge_blocks
+from .wedge import _wedge_blocks
 
 DEFAULT_THRESHOLD = 1e-8
 # Relative band within which the witness search counts candidates as tied:
@@ -22,10 +22,6 @@ DEFAULT_THRESHOLD = 1e-8
 _TIE_BAND = 1e-10
 # Bytes of minors above which route A walks the side of G with more rows.
 _MANY_MINOR_BYTES = 2**23
-# Gathered row pairs, and gathered minors, that cost the family's walk about
-# as much as one more chunk (timings in ROADMAP item 6).
-_GATHERED_ROWS = 256
-_GATHERED_MINORS = 8192
 
 
 def _wedge_sum_and_max(G: np.ndarray) -> float:
@@ -42,8 +38,9 @@ def _wedge_sum_and_max(G: np.ndarray) -> float:
     # walk the side with fewer rows; many: the gathers lead, so walk the side
     # with more rows. The two cross near 8 MiB of minors for float64 and
     # complex128 alike, with the chunk buffers aligned or not; between 7 and
-    # 11 MiB the shape decides which side wins, by up to 10 % (timings in
-    # ROADMAP item 3).
+    # 11 MiB the shape decides which side wins, by up to 10 %. One BLAS
+    # thread, real: 8 x 64 walks in 0.090 ms and 64 x 8 in 0.167 ms, 48 x 2304
+    # in 2.59 s and 2304 x 48 in 2.36 s.
     rows, cols = G.shape
     many = rows * (rows - 1) * cols * (cols - 1) // 4 * G.itemsize > _MANY_MINOR_BYTES
     if rows != cols and (rows < cols) == many:
@@ -98,19 +95,6 @@ def concurrence_route_Lambda(state: GridState | Split, bipartition: Bipartition)
     return 2.0 * (1.0 - float(np.einsum("ac,ca->", K, K).real))
 
 
-def _walk_rows(gm: int, gmbar: int, itemsize: int) -> bool:
-    """Whether the family walks F itself, gm x gmbar, rather than F^T: when F
-    is wide and its walk costs less. A walk costs one unit per chunk, and
-    another per _GATHERED_ROWS row pairs and per _GATHERED_MINORS minors it
-    gathers; on a tall or square F, walking F was never faster."""
-    if gm >= gmbar:
-        return False
-    costs = [chunks + pairs / _GATHERED_ROWS + minors / _GATHERED_MINORS
-             for chunks, pairs, minors in (_walk_size(gm, gmbar, itemsize),
-                                           _walk_size(gmbar, gm, itemsize))]
-    return costs[0] < costs[1]
-
-
 _PRESET_F = {
     "identity": lambda x: x,
     "two_x_squared": lambda x: 2.0 * x**2,
@@ -135,31 +119,16 @@ def _resolve_f(f):
 
 def _family_integrals(sp: Split, func) -> tuple:
     """The family's integrals at p = 1 and p = inf, before the q-th root, from
-    one walk over F.
+    one walk over F^T.
 
-    Each minor D of F is the wedge coefficient of a slice pair a < b at a
-    complement pair x < y; |D| reduces over the complement pairs, weighted by
-    w_x w_y for p = 1 and by its largest value for p = inf, before f sees the
-    norm. The pairs b < a double the sum, and a = b adds nothing because every
-    preset has f(0) = 0.
+    The column pairs a < b of F^T are the slice pairs, so each minor D is the
+    wedge coefficient of a slice pair at a complement pair x < y, a row pair
+    of the chunk. Each block reduces |D| over every complement pair, weighted
+    by w_x w_y for p = 1 and by its largest value for p = inf, before f sees
+    the norm. The pairs b < a double the sum, and a = b adds nothing because
+    every preset has f(0) = 0.
     """
     F, wm, wrest = sp.F, sp.wm, sp.wrest
-    gm, gmbar = F.shape
-    if _walk_rows(gm, gmbar, F.itemsize):
-        # The rows of F are the slices: each chunk's row pairs are slice pairs,
-        # met again in every block, so their norms gather in two gm x gm
-        # matrices, together no larger than 2 |F|.
-        ones, sups = np.zeros((gm, gm)), np.zeros((gm, gm))
-        one_cells, sup_cells = ones.reshape(-1), sups.reshape(-1)
-        for x, y, chunks in _wedge_blocks(F):
-            wxy = wrest[x] * wrest[y]
-            for a, b, d in chunks:
-                k, mag = a * gm + b, np.abs(d)
-                one_cells[k] += mag @ wxy
-                sup_cells[k] = np.maximum(sup_cells[k], mag.max(axis=1))
-        return tuple(2.0 * float(wm @ func(norms) @ wm) for norms in (ones, sups))
-    # The column pairs of F^T are the slice pairs, and each block reduces |D|
-    # over every complement pair, the chunks' row pairs, before the next.
     one = sup = 0.0
     for a, b, chunks in _wedge_blocks(F.T):
         ones = sups = 0.0
@@ -177,7 +146,7 @@ def family_measure(state: GridState | Split, bipartition: Bipartition, f, p, q) 
     """Member of the faithful measure family: apply f to the p-norm of the
     wedge of every pair of member-block slices, integrate, take the q-th root.
 
-    p = 1 and p = inf read the same minors, so one walk over F gives both
+    p = 1 and p = inf read the same minors, so one walk over F^T gives both
     integrals, which the split keeps by f preset, two floats each: a later
     call for either p with that f, and any q, reads them without walking
     again. p = 2 takes the Lagrange form of each slice pair's wedge norm and

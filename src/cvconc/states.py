@@ -359,7 +359,7 @@ class Split:
     route D itself rather than reuse a report's value.
 
     _family holds, per f preset of family_measure, the family's integrals at
-    p = 1 and p = inf before the q-th root, both from one wedge walk over F:
+    p = 1 and p = inf before the q-th root, both from one wedge walk over F^T:
     two floats per preset, never an array.
 
     The split also carries what its state knew: axes, the GridAxis tuple of a

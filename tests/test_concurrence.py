@@ -216,32 +216,32 @@ def _walked_shapes(monkeypatch):
     return shapes
 
 
-# F wide and cheaper to walk by its rows, or tall, square or cheaper by its
-# columns (6 x 36: one gathered chunk of F^T beats five chunks of F).
-@pytest.mark.parametrize("shape, members, side", [
-    ((3, 300), (0,), "F"), ((8, 64), (0,), "F"), ((7, 7, 7), (0,), "F"),
-    ((300, 3), (0,), "FT"), ((64, 8), (0,), "FT"), ((7, 7, 7), (0, 2), "FT"),
-    ((12, 12), (0,), "FT"), ((6, 6, 6), (0,), "FT"),
+# F wide (3 x 300, 8 x 64, 7 x 49, 6 x 36), tall (300 x 3, 64 x 8, 49 x 7)
+# or square: the family walks F^T on every one.
+@pytest.mark.parametrize("shape, members", [
+    ((3, 300), (0,)), ((8, 64), (0,)), ((7, 7, 7), (0,)),
+    ((300, 3), (0,)), ((64, 8), (0,)), ((7, 7, 7), (0, 2)),
+    ((12, 12), (0,)), ((6, 6, 6), (0,)),
 ])
 @pytest.mark.parametrize("p", [1, np.inf])
-def test_family_matches_the_oracle_on_either_walk_side(monkeypatch, shape, members, side, p):
+def test_family_matches_the_oracle_on_its_walk_over_F_transposed(monkeypatch, shape, members, p):
     state = shaped_state(np.random.default_rng(sum(shape) + len(members)), shape)
     bp = Bipartition(len(shape), members)
     sp = cv.split(state, bp)
     walked = _walked_shapes(monkeypatch)
     got = np.array([family_measure(sp, bp, f, p, 1) for f in FAMILY_PRESETS])
     monkeypatch.undo()
-    assert set(walked) == {sp.F.shape if side == "F" else sp.F.shape[::-1]}
+    assert set(walked) == {sp.F.shape[::-1]}
     expected = oracles.family_p_norm(state, bp, p, _presets_at)
     assert np.all(np.abs(got - expected) <= 1e-14 * expected), (got, expected)
 
 
-@pytest.mark.parametrize("members, side", [((0,), "F"), ((1,), "FT")])
+@pytest.mark.parametrize("members", [(0,), (1,)])
 @pytest.mark.parametrize("p", [1, np.inf])
-def test_family_on_a_gauss_hermite_split(monkeypatch, members, side, p):
+def test_family_on_a_gauss_hermite_split(monkeypatch, members, p):
     # Gauss-Hermite weights differ from node to node, so p = 1 must weight each
-    # minor by w_x w_y on whichever side the walk takes: 4 x 40 by its rows,
-    # 40 x 4 by its columns.
+    # minor by the w_x w_y of its complement pair, on a wide F (4 x 40) and on
+    # a tall one (40 x 4).
     r4, r40 = gauss_hermite_rule(4, 1.0, 1), gauss_hermite_rule(40, 1.5, 1)
     rule = ProductRule(r4.nodes + r40.nodes, r4.weights + r40.weights)
     spec = GaussianPureState(np.array([[1.0, 0.5], [0.5, 1.2]]))
@@ -252,16 +252,15 @@ def test_family_on_a_gauss_hermite_split(monkeypatch, members, side, p):
     walked = _walked_shapes(monkeypatch)
     got = np.array([family_measure(sp, bp, f, p, 1) for f in FAMILY_PRESETS])
     monkeypatch.undo()
-    assert walked == [sp.F.shape if side == "F" else sp.F.shape[::-1]] * len(FAMILY_PRESETS)
+    assert walked == [sp.F.shape[::-1]] * len(FAMILY_PRESETS)
     axes = tuple(SimpleNamespace(weights=w) for w in rule.weights)
     state = SimpleNamespace(amplitudes=amp / np.sqrt(sp.norm_squared), axes=axes)
     expected = oracles.family_p_norm(state, bp, p, _presets_at)
     assert np.all(np.abs(got - expected) <= 1e-14 * expected), (got, expected)
 
 
-# One shape of each walk side: F itself (8 x 64, 7 x 49) and F^T (64 x 8, 49 x 7).
-FUSED_SHAPES = [((8, 64), (0,), "F"), ((7, 7, 7), (0,), "F"),
-                ((64, 8), (0,), "FT"), ((7, 7, 7), (0, 2), "FT")]
+# F wide (8 x 64, 7 x 49) and tall (64 x 8, 49 x 7).
+FUSED_SHAPES = [((8, 64), (0,)), ((7, 7, 7), (0,)), ((64, 8), (0,)), ((7, 7, 7), (0, 2))]
 
 
 def _fresh_split(state, bp):
@@ -270,8 +269,8 @@ def _fresh_split(state, bp):
     return cv.split(GridState(state.axes, state.amplitudes), bp)
 
 
-@pytest.mark.parametrize("shape, members, side", FUSED_SHAPES)
-def test_one_walk_serves_p1_and_pinf_per_preset(monkeypatch, shape, members, side):
+@pytest.mark.parametrize("shape, members", FUSED_SHAPES)
+def test_one_walk_serves_p1_and_pinf_per_preset(monkeypatch, shape, members):
     # p = 1 and p = inf read the same minors: one walk per (split, f) gives
     # both, for any q; each further preset walks once more, and p = 2 walks none.
     state = shaped_state(np.random.default_rng(sum(shape)), shape)
@@ -287,14 +286,14 @@ def test_one_walk_serves_p1_and_pinf_per_preset(monkeypatch, shape, members, sid
     assert len(walked) == 2
     family_measure(sp, bp, "two_x_squared", 1, 1)
     family_measure(sp, bp, "identity", 2, 1)
-    assert walked == [sp.F.shape if side == "F" else sp.F.shape[::-1]] * 3
+    assert walked == [sp.F.shape[::-1]] * 3
     # The split keeps two floats per preset, never an array.
     assert all(type(v) is float for pair in sp._family.values() for v in pair)
     assert sorted(map(len, sp._family.values())) == [2, 2, 2]
 
 
-@pytest.mark.parametrize("shape, members, side", FUSED_SHAPES)
-def test_the_order_of_p_does_not_change_the_bits(shape, members, side):
+@pytest.mark.parametrize("shape, members", FUSED_SHAPES)
+def test_the_order_of_p_does_not_change_the_bits(shape, members):
     state = shaped_state(np.random.default_rng(sum(shape) + 1), shape)
     bp = Bipartition(len(shape), members)
     for f in FAMILY_PRESETS:
@@ -619,17 +618,11 @@ WEDGE_CONSUMERS = {
     "A": (concurrence_route_A, oracles.direct_concurrence, lambda shape: sorted(shape)),
     "Lambda_gap": (cv.lambda_invariance_gap, oracles.lambda_gap, lambda shape: shape),
     "family_p1": (lambda s, bp: family_measure(s, bp, "identity", 1, 1),
-                  lambda s, bp: oracles.family_p_norm(s, bp, 1), lambda shape: _family_walk(shape)),
+                  lambda s, bp: oracles.family_p_norm(s, bp, 1), lambda shape: shape[::-1]),
     "family_pinf": (lambda s, bp: family_measure(s, bp, "identity", np.inf, 1),
                     lambda s, bp: oracles.family_p_norm(s, bp, np.inf),
-                    lambda shape: _family_walk(shape)),
+                    lambda shape: shape[::-1]),
 }
-
-
-def _family_walk(shape):
-    # The family walks a wide F itself (5 x 24 here, whose walk is the cheaper)
-    # and the transpose of a tall one.
-    return shape if shape[0] < shape[1] else shape[::-1]
 
 
 @pytest.mark.parametrize("consumer", sorted(WEDGE_CONSUMERS))
