@@ -48,7 +48,6 @@ from .states import (
     split,
 )
 from .transpose import (
-    DiscreteOperator,
     LambdaPermutation,
     build_rho_pt,
     concurrence_route_D,

@@ -61,33 +61,6 @@ class LambdaPermutation:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator:
-    """Square matrix over linearized grid indices in the symmetric
-    sqrt-weight convention, so plain traces equal weighted kernel traces."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        m = np.asarray(m, dtype=np.result_type(m, float))  # real operators stay real
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError("operator matrix must be square")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-
-def _check_operator_size(gm: int, gmbar: int):
-    if gm * gmbar > _MAX_OPERATOR_DIM:
-        raise InputError(
-            f"dense operator would have edge {gm * gmbar} > {_MAX_OPERATOR_DIM}; "
-            "reduce the grid"
-        )
-
-
 def lambda_invariance_gap(state: GridState | Split, bipartition: Bipartition) -> float:
     """Max-norm of Phi(X) - Phi(Lambda X) over the doubled grid (raw amplitudes)."""
     # Phi[(a,b),(c,d)] = F[a,b] F[c,d]; the swap sends it to F[c,b] F[a,d],
@@ -98,14 +71,20 @@ def lambda_invariance_gap(state: GridState | Split, bipartition: Bipartition) ->
 
 
 def _pt_matrix(G: np.ndarray) -> np.ndarray:
-    _check_operator_size(*G.shape)
+    if G.size > _MAX_OPERATOR_DIM:
+        raise InputError(
+            f"dense operator would have edge {G.size} > {_MAX_OPERATOR_DIM}; "
+            "reduce the grid"
+        )
     return np.einsum("ad,cb->abcd", G, G.conj()).reshape(G.size, G.size)
 
 
-def build_rho_pt(state: GridState | Split, bipartition: Bipartition) -> DiscreteOperator:
-    """Partial transpose of the pure density operator: kernel
-    phi(x_M, y_rest) phi*(y_M, x_rest) with symmetric weighting."""
-    return DiscreteOperator(_pt_matrix(split(state, bipartition).G))
+def build_rho_pt(state: GridState | Split, bipartition: Bipartition) -> np.ndarray:
+    """Partial transpose of the pure density operator, kernel
+    phi(x_M, y_rest) phi*(y_M, x_rest), as the (gm gmbar) x (gm gmbar) matrix
+    over linearized grid indices in the symmetric sqrt-weight convention, so
+    plain traces equal weighted kernel traces."""
+    return _pt_matrix(split(state, bipartition).G)
 
 
 def _pt_matvec(A: np.ndarray, V: np.ndarray, B: np.ndarray) -> np.ndarray:

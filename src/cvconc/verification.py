@@ -49,12 +49,13 @@ def run_verification(state: GridState | Split, bipartition: Bipartition) -> Veri
 
     report.add("normalization", sp.norm_squared - 1.0, 1e-9)
 
-    # Lagrange identity on the two largest member-block slices.
+    # Lagrange identity on the two largest member-block slices; a lone slice
+    # is checked against itself.
     F, wrest = sp.F, sp.wrest
     norms = (np.abs(F) ** 2) @ wrest
     top = np.argsort(norms)[-2:]
-    scale = max(norms[top[0]] * norms[top[1]], 1e-300)
-    gap = lagrange_identity_gap(F[top[0]], F[top[1]], wrest) / scale
+    scale = max(norms[top[0]] * norms[top[-1]], 1e-300)
+    gap = lagrange_identity_gap(F[top[0]], F[top[-1]], wrest) / scale
     report.add("lagrange_identity", gap, 1e-12)
 
     # E2 from one SVD, checked against all six routes.

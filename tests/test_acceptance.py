@@ -146,9 +146,9 @@ def test_criterion_6_operator_identities(corpus_battery):
     worst_factor = 0.0
     for row in corpus_battery["rows"]:
         state = row["state"]
-        op = cv.build_rho_pt(state, BP)
-        worst_tr = max(worst_tr, abs(op.trace - 1.0))
-        tr2 = complex(np.sum(op.matrix * op.matrix.T))
+        pt = cv.build_rho_pt(state, BP)
+        worst_tr = max(worst_tr, abs(complex(np.trace(pt)) - 1.0))
+        tr2 = complex(np.sum(pt * pt.T))
         worst_tr = max(worst_tr, abs(tr2 - 1.0))
         worst_factor = max(worst_factor, cv.pt_square_factorization_gap(state, BP))
     ok = worst_tr < 1e-10 and worst_factor < 1e-10

@@ -312,7 +312,6 @@ def _array_holders():
         "Split": lambda: cv.split(GridState(state.axes, state.amplitudes), bp),
         "GaussianPureState": lambda: GaussianPureState(np.eye(2, dtype=complex)),
         "ProductRule": lambda: cv.midpoint_rule(state.axes),
-        "DiscreteOperator": lambda: cv.build_rho_pt(state, bp),
         "ReducedDensity": lambda: cv.reduce(state, bp),
         "SeparabilityCertificate": lambda: cv.decide_separability(state, bp),
     }

@@ -89,14 +89,14 @@ def test_rho_pt_equals_rho_for_real_product_state():
     # complex complement factor the swap transposes that factor instead, so
     # exact invariance is special to real wavefunctions.
     state = real_product_state(11)
-    pt = build_rho_pt(state, BP).matrix
+    pt = build_rho_pt(state, BP)
     rho = oracles.dense_density(state)
     assert np.max(np.abs(pt - rho)) < 1e-12
 
 
 def test_rho_pt_transposes_complement_factor():
     state = random_product_state(np.random.default_rng(11))
-    pt = build_rho_pt(state, BP).matrix
+    pt = build_rho_pt(state, BP)
     G = cv.split(state, BP).G
     rho_m = G @ G.conj().T
     rho_rest = G.T @ G.conj()
@@ -106,9 +106,9 @@ def test_rho_pt_transposes_complement_factor():
 def test_rho_pt_trace_pins():
     for seed in (13, 17):
         state = small_random_state(seed)
-        op = build_rho_pt(state, BP)
-        assert abs(op.trace - 1.0) < 1e-10
-        tr2 = complex(np.sum(op.matrix * op.matrix.T))
+        pt = build_rho_pt(state, BP)
+        assert abs(complex(np.trace(pt)) - 1.0) < 1e-10
+        tr2 = complex(np.sum(pt * pt.T))
         assert abs(tr2 - 1.0) < 1e-10
 
 
@@ -171,7 +171,7 @@ def test_pt_square_factorization_random():
 
 def test_pt_square_equals_rho_square_for_real_product():
     state = real_product_state(41)
-    pt = build_rho_pt(state, BP).matrix
+    pt = build_rho_pt(state, BP)
     rho = oracles.dense_density(state)
     assert np.max(np.abs(pt @ pt - rho @ rho)) < 1e-10
 
@@ -191,7 +191,7 @@ def test_route_E_matches_route_C():
 
 
 def test_route_E_bell_brute_force(bell_state):
-    pt = build_rho_pt(bell_state, BP).matrix
+    pt = build_rho_pt(bell_state, BP)
     tr4 = complex(np.trace(np.linalg.matrix_power(pt, 4)))
     assert abs(tr4 - 0.25) < 1e-12
     assert abs(concurrence_route_E(bell_state, BP) - 1.0) < 1e-12

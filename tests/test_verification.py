@@ -12,6 +12,7 @@ from cvconc import (
     GaussianPureState,
     GridAxis,
     GridState,
+    Split,
     concurrence_route_B,
     discretize,
     purity,
@@ -67,6 +68,16 @@ def test_entangled_state_gets_ppt_negativity_check():
     assert "ppt_negative_for_entangled" in names
     assert "entropy_vanishes_when_separable" not in names
 
+
+def test_a_member_block_of_one_slice_passes_every_check():
+    # The Lagrange check reads the two largest member-block slices; a lone
+    # slice is checked against itself, where the identity holds trivially.
+    sp = Split.from_blocks(BP, np.array([[0.6, 0.8j]]), np.array([1.0]), np.array([1.0, 1.0]))
+    report = run_verification(sp, BP)
+    assert report.overall, report.checks
+    lagrange = next(c for c in report.checks if c["name"] == "lagrange_identity")
+    assert lagrange["measured"] == 0.0
+    assert "lambda_invariance_for_separable" in [c["name"] for c in report.checks]
 
 
 def test_ppt_minimum_solved_only_when_reported(monkeypatch):
